@@ -2,8 +2,8 @@
 # vet, the fsdmvet invariant checkers, tests, and the godoc lint.
 # `make race` runs the race detector over the whole tree plus the
 # concurrent engine packages (imc, pathengine, sqlengine parallel
-# operators); CI runs it as its own job so analyzer findings and
-# data races fail independently.
+# scans); CI runs it as its own job so analyzer findings and data
+# races fail independently.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -15,14 +15,19 @@ all: build
 build:
 	$(GO) build ./...
 
+# The second step reruns sqlengine at three core counts: the planner's
+# parallel-scan degree follows GOMAXPROCS, so plans (and every test
+# that asserts on EXPLAIN text) differ between a 1-core and an N-core
+# machine.
 test:
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/sqlengine
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/imc
 	$(GO) test -race -count=1 ./internal/pathengine
-	$(GO) test -race -count=1 -run 'TestParExec|TestParallelScan' ./internal/sqlengine
+	$(GO) test -race -count=1 -run 'TestParallelScan|TestBreakersOverParallelScan' ./internal/sqlengine
 
 vet:
 	$(GO) vet ./...
@@ -60,8 +65,8 @@ bench-smoke:
 # Benchmark run emitting the test2json machine-readable event stream
 # (one JSON object per line, ns/op and -benchmem allocs/op both
 # captured) for dashboards and regression tooling. The Fig3/Fig5/Fig6
-# query benchmarks — the ones the scan, plan, batch-spine,
-# parallel-operator, and expansion work moves — are captured to
+# query benchmarks — the ones the scan, plan, batch-spine, and
+# expansion work moves — are captured to
 # BENCH_PR9.json as the repo's current perf trajectory checkpoint
 # (BENCH_PR8.json is the previous one; compare the two for the
 # JSON_TABLE expansion-vectorization delta: Fig3 OSON ~302k → ~34k

@@ -11,11 +11,9 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/sqlengine"
 	"repro/internal/workload"
 )
 
@@ -70,50 +68,6 @@ func BenchmarkFig3OLAPJSON(b *testing.B) { benchmarkOLAP(b, bench.ModeJSON) }
 func BenchmarkFig3OLAPBSON(b *testing.B) { benchmarkOLAP(b, bench.ModeBSON) }
 func BenchmarkFig3OLAPOSON(b *testing.B) { benchmarkOLAP(b, bench.ModeOSON) }
 func BenchmarkFig3OLAPREL(b *testing.B)  { benchmarkOLAP(b, bench.ModeREL) }
-
-// BenchmarkFig3Parallel reruns the Fig. 3 OLAP suite (OSON storage)
-// with the morsel-driven parallel operators forced on against the
-// fully serial plans — the PR8 ablation arm of EXPERIMENTS.md. The
-// fan-out degree follows GOMAXPROCS (floored at 2 so the parallel
-// code path runs even on a single-core CI box, where the arm measures
-// fan-out overhead rather than speedup; the >= 2x Fig. 3 target only
-// applies on multi-core hardware).
-func BenchmarkFig3Parallel(b *testing.B) {
-	degree := runtime.GOMAXPROCS(0)
-	if degree < 2 {
-		degree = 2
-	}
-	for _, mode := range []struct {
-		name string
-		set  func(*sqlengine.PlannerOptions)
-	}{
-		{"parallel-exec", func(p *sqlengine.PlannerOptions) {
-			p.ParallelDegree = degree
-			p.ParallelMinRows = 1
-			p.ParallelExecMinRows = 1
-		}},
-		{"serial", func(p *sqlengine.PlannerOptions) {
-			p.DisableParallelScan = true
-			p.DisableParallelExec = true
-		}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			env, err := bench.SetupOLAP(bench.ModeOSON, 500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mode.set(&env.Eng.Planner)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for qi := 0; qi < 9; qi++ {
-					if _, _, err := env.RunQuery(qi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkFig4Storage measures load + storage accounting for the four
 // modes (Figure 4).
@@ -221,26 +175,16 @@ func BenchmarkFig6Vectorized(b *testing.B) {
 // $.thousandth key, aggregate over $.num. The serial arms run over
 // the same VC-backed vectors; "batch" hashes float-bits words
 // straight off the number vector, "row-at-a-time" evaluates and
-// hashes jsondom keys per row (expected >= 2x apart). "parallel"
-// adds the PR8 morsel-driven fan-out on top of the batch arm:
-// per-worker partial tables merged in partition order, with the
-// degree following GOMAXPROCS (floored at 2; on a single-core box
-// this arm measures fan-out overhead, not speedup).
+// hashes jsondom keys per row (expected >= 2x apart).
 func BenchmarkFig6GroupedAgg(b *testing.B) {
 	const nDocs = 16384
 	const query = `select jdoc$thousandth, count(*), sum(jdoc$num), min(jdoc$num), max(jdoc$num) from nobench group by jdoc$thousandth`
-	degree := runtime.GOMAXPROCS(0)
-	if degree < 2 {
-		degree = 2
-	}
 	for _, mode := range []struct {
-		name     string
-		disable  bool
-		parallel bool
+		name    string
+		disable bool
 	}{
-		{"batch", false, false},
-		{"row-at-a-time", true, false},
-		{"parallel", false, true},
+		{"batch", false},
+		{"row-at-a-time", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			env, err := bench.SetupNoBench(nDocs)
@@ -259,12 +203,6 @@ func BenchmarkFig6GroupedAgg(b *testing.B) {
 			}
 			env.Eng.Planner.DisableParallelScan = true
 			env.Eng.Planner.DisableBatchExec = mode.disable
-			if mode.parallel {
-				env.Eng.Planner.ParallelDegree = degree
-				env.Eng.Planner.ParallelExecMinRows = 1
-			} else {
-				env.Eng.Planner.DisableParallelExec = true
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.Eng.Exec(query); err != nil {

@@ -37,11 +37,6 @@
 //	                            path and join build-side selection);
 //	                            default true, false keeps the heuristic
 //	                            planner (EXPLAIN still shows est-rows)
-//	-parallel-exec              morsel-driven parallel operators
-//	                            (partition fan-out of aggregation,
-//	                            join probe, and sort above the scan);
-//	                            default true, false keeps every
-//	                            operator single-goroutine
 package main
 
 import (
@@ -100,7 +95,6 @@ func runSQL(args []string) {
 	imcVectorized := fs.Bool("imc-vectorized", true, "batch-vectorized IMC scans (selection bitmaps + zone-map pruning); false keeps the row-at-a-time vector filters")
 	batchExec := fs.Bool("batch-exec", true, "batch execution spine (pooled row batches through filter/project/limit, code-space aggregation and join fast paths); false keeps row-at-a-time operators")
 	costBased := fs.Bool("cost-based", true, "cost-based planning from DataGuide/IMC statistics (conjunct ordering, access-path and join build-side selection); false keeps the heuristic planner")
-	parallelExec := fs.Bool("parallel-exec", true, "morsel-driven parallel operators (partition fan-out of aggregation, join probe, and sort above the scan); false keeps single-goroutine operators")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	eng := sqlengine.New()
@@ -108,7 +102,6 @@ func runSQL(args []string) {
 	eng.Planner.DisableVectorizedScan = !*imcVectorized
 	eng.Planner.DisableBatchExec = !*batchExec
 	eng.Planner.DisableCostBasedPlanner = !*costBased
-	eng.Planner.DisableParallelExec = !*parallelExec
 	if *slowLog != "" {
 		var w io.Writer = os.Stderr
 		if *slowLog != "stderr" {

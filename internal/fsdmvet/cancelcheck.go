@@ -99,7 +99,7 @@ func hasCancelParam(info *types.Info, fd *ast.FuncDecl) bool {
 // pullsRowSource reports whether the loop body calls a Next,
 // NextBatch, nextBatch, or nextSelID method that receives an
 // *ExecCtx — the row-source pull shapes, including the selected-row-id
-// pull the morsel-driven operator workers drive directly.
+// pull the code-space aggregation and join loops drive directly.
 func pullsRowSource(info *types.Info, body ast.Node) bool {
 	return containsCall(body, func(call *ast.CallExpr) bool {
 		sel := selectorCall(call)

@@ -1,6 +1,6 @@
 // leakcheck: worker goroutines must be registered before launch and
-// joined on every path out. The PR8 parallel operators set the
-// contract (parexec.go's parFleet, parallel.go's parallelScanOp): a
+// joined on every path out. The partitioned parallel scan sets the
+// contract (parallel.go's parallelScanOp, its one in-tree owner): a
 // `go` statement is only safe when a sync.WaitGroup.Add dominates the
 // launch — registration-before-launch is what makes the later Wait
 // sound — and the group must then be waited on every path out of the

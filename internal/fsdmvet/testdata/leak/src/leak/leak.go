@@ -5,7 +5,8 @@ package leak
 
 import "sync"
 
-// fleet is the stand-in worker group (parexec.go's parFleet shape).
+// fleet is the stand-in worker group (a WaitGroup plus a stop channel,
+// the shape parallel.go's parallelScanOp carries in its fields).
 type fleet struct {
 	wg    sync.WaitGroup
 	abort chan struct{}

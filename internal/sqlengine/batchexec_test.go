@@ -348,3 +348,47 @@ func TestBatchExecPrepared(t *testing.T) {
 		t.Errorf("cache-instantiated plan lost the fast path:\n%s", plan)
 	}
 }
+
+// TestKeyRenderAppend pins the append form of the rendered-key encoder
+// to keyRender: the aggregation/join builders build keys through
+// keyRenderAppend into reused buffers, and any byte divergence from
+// keyRender would silently change grouping.
+func TestKeyRenderAppend(t *testing.T) {
+	vals := []jsondom.Value{
+		jsondom.Null{},
+		jsondom.String(""),
+		jsondom.String("abc"),
+		jsondom.String("\x00weird"),
+		jsondom.Bool(true),
+		jsondom.Bool(false),
+		jsondom.MustNumber("1"),
+		jsondom.MustNumber("1.0"), // must collide with Double(1)
+		jsondom.Double(1),
+		jsondom.Double(-2.5),
+		jsondom.Double(1e300), // exponent canonicalization branch
+		jsondom.NewObject(),   // no numeric form: the "x" bucket
+	}
+	var buf []byte
+	for _, v := range vals {
+		want := keyRender(v) + "\x00"
+		buf = keyRenderAppend(buf[:0], v)
+		if string(buf) != want {
+			t.Errorf("keyRenderAppend(%v) = %q, want %q", v, buf, want)
+		}
+	}
+	// multi-column keys concatenate in place
+	buf = buf[:0]
+	for _, v := range vals {
+		buf = keyRenderAppend(buf, v)
+	}
+	want := ""
+	for _, v := range vals {
+		want += keyRender(v) + "\x00"
+	}
+	if string(buf) != want {
+		t.Errorf("concatenated keys diverge: %q vs %q", buf, want)
+	}
+	if keyRender(jsondom.MustNumber("1.0")) != keyRender(jsondom.Double(1)) {
+		t.Error("1.0 and Double(1) should share a group key")
+	}
+}

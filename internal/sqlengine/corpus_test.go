@@ -3,7 +3,7 @@ package sqlengine
 // The enginetest-style query corpus: every query in testdata/corpus/
 // runs under three storage encodings (JSON text, BSON, OSON with an
 // attached IMC store) crossed with vectorized/row scans,
-// parallel/serial plans, and batch/row execution — 24 configurations
+// parallel/serial scans, and batch/row execution — 24 configurations
 // per query — and every configuration must return bit-for-bit the rows
 // of the reference configuration (text storage, fully row-at-a-time,
 // serial). The corpus files also carry expected row counts, refreshed
@@ -179,33 +179,23 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 }
 
 // corpusConfigs is the execution matrix: vectorized/row IMC scans,
-// serial/parallel-scan/parallel-exec plans, batch/row execution. The
-// parexec dimension forces the morsel-driven operator layer
-// (aggregation/probe/sort fan-out) onto every qualifying plan by
-// dropping its row gate to 1.
+// serial/parallel scans, batch/row execution.
 func corpusConfigs() []plannerMode {
 	var out []plannerMode
 	for _, vec := range []bool{true, false} {
-		for _, par := range []string{"serial", "par", "parexec"} {
+		for _, par := range []bool{false, true} {
 			for _, batch := range []bool{true, false} {
 				vec, par, batch := vec, par, batch
-				label := fmt.Sprintf("vec=%t/par=%s/batch=%t", vec, par, batch)
+				label := fmt.Sprintf("vec=%t/par=%t/batch=%t", vec, par, batch)
 				out = append(out, plannerMode{label, func(p *PlannerOptions) {
 					if !vec {
 						p.DisableVectorizedScan = true
 					}
-					switch par {
-					case "serial":
+					if par {
+						p.ParallelMinRows = 1
+						p.ParallelDegree = 3
+					} else {
 						p.DisableParallelScan = true
-						p.DisableParallelExec = true
-					case "par":
-						p.ParallelMinRows = 1
-						p.ParallelDegree = 3
-						p.DisableParallelExec = true
-					case "parexec":
-						p.ParallelMinRows = 1
-						p.ParallelDegree = 3
-						p.ParallelExecMinRows = 1
 					}
 					if !batch {
 						p.DisableBatchExec = true
@@ -234,7 +224,6 @@ func TestQueryCorpus(t *testing.T) {
 	refEng.Planner = PlannerOptions{
 		DisableVectorizedScan: true, DisableVectorFilter: true,
 		DisableVCRewrite: true, DisableParallelScan: true, DisableBatchExec: true,
-		DisableParallelExec: true,
 	}
 	for ci, c := range cases {
 		r := mustExec(t, refEng, c.sql)

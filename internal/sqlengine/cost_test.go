@@ -165,9 +165,11 @@ func TestConjunctOrderingBySelectivity(t *testing.T) {
 func TestExplainEstRowsAccuracy(t *testing.T) {
 	e := newCorpusEngine(t, "oson-imc")
 	// keep a plain Filter over TableScan: no vectorized scan, no
-	// pushed row-at-a-time vector filters
+	// pushed row-at-a-time vector filters, and no parallel scan
+	// absorbing the filter on a multi-core machine
 	e.Planner.DisableVectorizedScan = true
 	e.Planner.DisableVectorFilter = true
+	e.Planner.DisableParallelScan = true
 	r := mustExec(t, e, `explain select did from d where vs = 's07' and vn >= 0`)
 	var scanEst, filterEst int64
 	for _, row := range r.Rows {

@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,9 +78,6 @@ type PlannerOptions struct {
 	// ParallelDegree is the worker count for parallel scans; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	ParallelDegree int
-	// ParallelUnordered lets parallel scans interleave worker output
-	// instead of merging partitions in row-id order.
-	ParallelUnordered bool
 	// ParallelMinRows is the minimum table size for a parallel scan;
 	// <= 0 means the built-in default (defaultParallelMinRows).
 	ParallelMinRows int
@@ -101,17 +97,6 @@ type PlannerOptions struct {
 	// build-side choice. EXPLAIN's est-rows annotations stay on — they
 	// are observability, not plan decisions.
 	DisableCostBasedPlanner bool
-	// DisableParallelExec keeps aggregation, hash-join probing, and
-	// sorting single-goroutine above whatever scan parallelism is in
-	// effect — the ablation switch for the morsel-driven parallel
-	// operator layer (parexec.go).
-	DisableParallelExec bool
-	// ParallelExecMinRows is the minimum estimated input size for a
-	// parallel aggregation/probe/sort; <= 0 means the built-in default
-	// (defaultParallelExecMinRows). The gate uses the PR7 est-rows
-	// annotation with the base table size as fallback, so small inputs
-	// keep the serial operators and their lower constant factors.
-	ParallelExecMinRows int
 }
 
 type viewDef struct {
@@ -943,78 +928,7 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	if !e.Planner.DisableBatchExec {
 		enableBatchExec(src)
 	}
-
-	// 13. morsel-driven parallelism above the scan: flag aggregation,
-	// hash-join probe, and sort for partition fan-out when their input
-	// pipeline reaches a partitionable scan and the estimated input is
-	// large enough to amortize the workers. Also a plan-time property
-	// keyed by the planner-option snapshot.
-	e.enableParallelExec(src)
 	return src, names, nil
-}
-
-// enableParallelExec walks a finished plan tree and flags the
-// operators the morsel-driven parallel layer can fan out. The row gate
-// uses the step-11 est-rows annotation on the operator's input (exact
-// for bare scans, statistics-derived above filters) and falls back to
-// serial execution for small inputs, where per-worker setup dominates.
-// The flags are plan-time state copied by clonePlan; the execution-time
-// pipeline discovery (findParPipe) re-derives everything else, so
-// prepared and cached plans stay clone-safe.
-func (e *Engine) enableParallelExec(src rowSource) {
-	if e.Planner.DisableParallelExec {
-		return
-	}
-	degree := e.Planner.ParallelDegree
-	if degree <= 0 {
-		degree = runtime.GOMAXPROCS(0)
-	}
-	if degree >= 2 {
-		minRows := int64(e.Planner.ParallelExecMinRows)
-		if minRows <= 0 {
-			minRows = defaultParallelExecMinRows
-		}
-		e.flagParallelExec(src, degree, minRows)
-	}
-}
-
-// flagParallelExec recursively applies the parallel-exec gate.
-func (e *Engine) flagParallelExec(src rowSource, degree int, minRows int64) {
-	switch t := src.(type) {
-	case *groupAggOp:
-		if parInputEstimate(t.in) >= minRows {
-			t.parExec, t.parDegree = true, degree
-		}
-	case *hashJoin:
-		if !t.buildLeft && parInputEstimate(t.left) >= minRows {
-			t.parExec, t.parDegree = true, degree
-		}
-	case *sortOp:
-		if parInputEstimate(t.in) >= minRows {
-			t.parExec, t.parDegree = true, degree
-		}
-	}
-	if n, ok := src.(opNode); ok {
-		for _, c := range n.opChildren() {
-			e.flagParallelExec(c, degree, minRows)
-		}
-	}
-}
-
-// parInputEstimate sizes an operator input for the parallel-exec gate:
-// the cost model's est-rows when valid, the base table size when the
-// input bottoms out in a scan the pipeline discovery accepts, zero
-// (never parallel) otherwise.
-func parInputEstimate(in rowSource) int64 {
-	if est, ok := in.(estNode); ok {
-		if n, valid := est.estRows(); valid {
-			return n
-		}
-	}
-	if pp := findParPipe(in, 2); pp != nil {
-		return int64(pp.base.tab.MaxRowID())
-	}
-	return 0
 }
 
 // enableBatchExec walks a finished plan tree and turns on batch

@@ -1236,8 +1236,7 @@ type hashJoin struct {
 	fast     *joinFast
 	leftNext rowNextFunc
 	arena    rowArena
-	// keyBuf is the keyOf scratch for the serial build and probe
-	// loops; parallel probe workers carry their own (parexec.go).
+	// keyBuf is the keyOf scratch for the build and probe loops.
 	keyBuf []byte
 
 	// buildLeft is the cost-based planner's build-side choice: when the
@@ -1246,22 +1245,6 @@ type hashJoin struct {
 	// right rows in scan order — bit-for-bit the generic build-right
 	// output — so the differential corpus holds (see buildLeftSide).
 	buildLeft bool
-
-	// parExec enables the morsel-driven parallel probe (parexec.go):
-	// the build side is constructed once into a read-only shared table
-	// and probe partitions are joined in place by workers. Plan-time
-	// flags, copied by clonePlan.
-	parExec   bool
-	parDegree int
-	pj        *parProbe
-	// fastTable/fastLCol are the shared code-space build table and the
-	// probe-side key column when the parallel fast probe qualifies.
-	fastTable map[uint64][][]jsondom.Value
-	fastLCol  *ColRef
-	// leftOpen tracks whether h.left was actually opened: a parallel
-	// probe candidate defers it, because opening a parallelScanOp
-	// spawns scan workers the partition fan-out would never drain.
-	leftOpen bool
 
 	// build-left execution state: the materialized left rows in scan
 	// order, and per left row the matching right rows in right-scan
@@ -1291,34 +1274,23 @@ func (h *hashJoin) Open(ec *ExecCtx) error {
 	h.init, h.table, h.leftRow, h.matches, h.mi = false, nil, nil, nil, 0
 	h.fast = nil
 	h.leftNext = nil
-	h.pj, h.fastTable, h.fastLCol = nil, nil, nil
 	h.blLeft, h.blMatches, h.blHadKey, h.blActive, h.blPadded, h.blLi, h.blMi = nil, nil, nil, false, false, 0, 0
 	h.leftCtx = h.env.bindCtx(h.left.Schema(), h.leftKeys...)
 	h.rightCtx = h.env.bindCtx(h.right.Schema(), h.rightKeys...)
 	if h.residual != nil {
 		h.residCtx = h.env.bindCtx(h.sch, h.residual)
 	}
-	h.leftOpen = !(h.parExec && !h.buildLeft && findParPipe(h.left, h.parDegree) != nil)
-	if h.leftOpen {
-		if err := h.left.Open(ec); err != nil {
-			return err
-		}
+	if err := h.left.Open(ec); err != nil {
+		return err
 	}
 	return h.right.Open(ec)
 }
 
 func (h *hashJoin) Close() error {
-	if h.pj != nil {
-		// joins the probe workers before anything else is torn down;
-		// kept (not nilled) so EXPLAIN ANALYZE can read its counters
-		h.pj.close()
-	}
 	h.ec.release(h.memUsed)
 	h.memUsed = 0
-	if h.leftOpen {
-		if err := h.left.Close(); err != nil {
-			return err
-		}
+	if err := h.left.Close(); err != nil {
+		return err
 	}
 	return h.right.Close()
 }
@@ -1352,22 +1324,7 @@ func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 	}
 	if !h.init {
 		h.init = true
-		if !h.leftOpen {
-			started, err := h.startParProbe(ec)
-			if err != nil {
-				return nil, false, err
-			}
-			if !started {
-				// the fan-out declined at execution time: open the
-				// left input and run the serial paths
-				mParExecFallbacks.Inc()
-				h.leftOpen = true
-				if err := h.left.Open(ec); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		if h.pj == nil && h.batch {
+		if h.batch {
 			if jf := newJoinFast(h); jf != nil {
 				h.fast = jf
 				if err := jf.build(ec); err != nil {
@@ -1375,7 +1332,7 @@ func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 				}
 			}
 		}
-		if h.pj == nil && h.fast == nil {
+		if h.fast == nil {
 			if h.buildLeft {
 				if err := h.buildLeftSide(ec); err != nil {
 					return nil, false, err
@@ -1384,9 +1341,6 @@ func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 				return nil, false, err
 			}
 		}
-	}
-	if h.pj != nil {
-		return h.pj.next(ec)
 	}
 	if h.fast != nil {
 		return h.fast.next(ec)
@@ -1618,19 +1572,12 @@ func (h *hashJoin) opChildren() []rowSource { return []rowSource{h.left, h.right
 func (h *hashJoin) opStat() *OpStats        { return h.st }
 
 // opExtraLines reports the code-space probe statistics when the fast
-// path ran and the parallel probe's per-worker aggregate when the
-// partition fan-out ran (safe after Close: the workers are joined).
+// path ran.
 func (h *hashJoin) opExtraLines() []string {
-	var lines []string
-	if h.fast != nil {
-		lines = append(lines, h.fast.stat())
+	if h.fast == nil {
+		return nil
 	}
-	if h.pj != nil {
-		probed, hits := h.pj.totals()
-		lines = append(lines, fmt.Sprintf("par-probe: mode=%s workers=%d probe-rows=%d hits=%d stalls=%d",
-			h.pj.mode, h.pj.workers, probed, hits, h.pj.stalls))
-	}
-	return lines
+	return []string{h.fast.stat()}
 }
 
 // ---------------------------------------------------------------------------
@@ -1662,18 +1609,6 @@ type groupAggOp struct {
 	// path; fastStat is its EXPLAIN ANALYZE line when it ran.
 	batch    bool
 	fastStat string
-
-	// parExec enables the morsel-driven parallel build (parexec.go):
-	// partition workers accumulate private partial-aggregate tables
-	// that a single-pass merge combines. Plan-time flags, copied by
-	// clonePlan; parStat is the EXPLAIN ANALYZE line when it ran.
-	parExec   bool
-	parDegree int
-	parStat   string
-	// inOpen tracks whether g.in was actually opened: a parallel-exec
-	// candidate defers it, because opening a parallelScanOp spawns scan
-	// workers the partition fan-out would then never drain.
-	inOpen bool
 }
 
 func newGroupAggOp(in rowSource, groupBy []Expr, aggs []*FuncCall, implicit bool, env *planEnv) *groupAggOp {
@@ -1690,20 +1625,13 @@ func (g *groupAggOp) Open(ec *ExecCtx) error {
 	g.st = ec.statFor()
 	g.ec = ec
 	g.groups, g.gi, g.opened = nil, 0, false
-	g.fastStat, g.parStat = "", ""
-	g.inOpen = !(g.parExec && findParPipe(g.in, g.parDegree) != nil)
-	if !g.inOpen {
-		return nil
-	}
+	g.fastStat = ""
 	return g.in.Open(ec)
 }
 
 func (g *groupAggOp) Close() error {
 	g.ec.release(g.memUsed)
 	g.memUsed = 0
-	if !g.inOpen {
-		return nil
-	}
 	return g.in.Close()
 }
 func (g *groupAggOp) Schema() Schema { return g.sch }
@@ -1719,22 +1647,6 @@ type aggState interface {
 }
 
 func (g *groupAggOp) build(ec *ExecCtx) error {
-	if !g.inOpen {
-		ok, err := g.buildParallel(ec)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		// the fan-out declined at execution time (partition split
-		// degenerated): open the input and run the serial paths
-		mParExecFallbacks.Inc()
-		g.inOpen = true
-		if err := g.in.Open(ec); err != nil {
-			return err
-		}
-	}
 	if g.batch {
 		// code-space aggregation when the plan shape qualifies; falls
 		// through to the generic build (over batches) otherwise
@@ -1865,17 +1777,12 @@ func (g *groupAggOp) opChildren() []rowSource { return []rowSource{g.in} }
 func (g *groupAggOp) opStat() *OpStats        { return g.st }
 
 // opExtraLines reports the code-space aggregation statistics when the
-// fast path ran and the parallel-build statistics when the partition
-// fan-out ran.
+// fast path ran.
 func (g *groupAggOp) opExtraLines() []string {
-	var lines []string
-	if g.fastStat != "" {
-		lines = append(lines, g.fastStat)
+	if g.fastStat == "" {
+		return nil
 	}
-	if g.parStat != "" {
-		lines = append(lines, g.parStat)
-	}
-	return lines
+	return []string{g.fastStat}
 }
 
 type countState struct {
@@ -2168,37 +2075,19 @@ type sortOp struct {
 	st       *OpStats
 	// batch enables batch-at-a-time materialization of the input.
 	batch bool
-
-	// parExec enables the morsel-driven parallel sort (parexec.go):
-	// partition workers build sorted runs that Next k-way merges.
-	// Plan-time flags, copied by clonePlan; parStat is the EXPLAIN
-	// ANALYZE line when it ran.
-	parExec   bool
-	parDegree int
-	runs      []parSortRun
-	parStat   string
-	// inOpen tracks whether s.in was actually opened: a parallel-exec
-	// candidate defers it, because opening a parallelScanOp spawns
-	// scan workers the partition fan-out would never drain.
-	inOpen bool
 }
 
 func (s *sortOp) Open(ec *ExecCtx) error {
 	s.st = ec.statFor()
 	s.ec = ec
 	s.rows, s.pos, s.opened, s.inClosed = nil, 0, false, false
-	s.runs, s.parStat = nil, ""
-	s.inOpen = !(s.parExec && findParPipe(s.in, s.parDegree) != nil)
-	if !s.inOpen {
-		return nil
-	}
 	return s.in.Open(ec)
 }
 
 func (s *sortOp) Close() error {
 	s.ec.release(s.memUsed)
 	s.memUsed = 0
-	if !s.inOpen || s.inClosed {
+	if s.inClosed {
 		return nil
 	}
 	s.inClosed = true
@@ -2214,33 +2103,9 @@ func (s *sortOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 	}
 	if !s.opened {
 		s.opened = true
-		if !s.inOpen {
-			built, err := s.buildParallel(ec)
-			if err != nil {
-				return nil, false, err
-			}
-			if !built {
-				// the fan-out declined at execution time: open the
-				// input and materialize serially
-				mParExecFallbacks.Inc()
-				s.inOpen = true
-				if err := s.in.Open(ec); err != nil {
-					return nil, false, err
-				}
-			}
+		if err := s.build(ec); err != nil {
+			return nil, false, err
 		}
-		if s.runs == nil {
-			if err := s.buildSerial(ec); err != nil {
-				return nil, false, err
-			}
-		}
-	}
-	if s.runs != nil {
-		row, more := s.mergeNext()
-		if !more {
-			return nil, false, nil
-		}
-		return row, true, nil
 	}
 	if s.pos >= len(s.rows) {
 		return nil, false, nil
@@ -2250,10 +2115,8 @@ func (s *sortOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 	return row, true, nil
 }
 
-// buildSerial materializes and stable-sorts the whole input in one
-// goroutine — the fallback when the partition fan-out is off or
-// declined.
-func (s *sortOp) buildSerial(ec *ExecCtx) error {
+// build materializes and stable-sorts the whole input.
+func (s *sortOp) build(ec *ExecCtx) error {
 	next := batchNextFunc(s.in, s.batch)
 	for {
 		if err := ec.tickErr(&s.ticks); err != nil {
@@ -2317,13 +2180,18 @@ func (s *sortOp) opName() string          { return fmt.Sprintf("Sort(keys=%d)", 
 func (s *sortOp) opChildren() []rowSource { return []rowSource{s.in} }
 func (s *sortOp) opStat() *OpStats        { return s.st }
 
-// opExtraLines reports the parallel sort's run statistics when the
-// partition fan-out ran.
-func (s *sortOp) opExtraLines() []string {
-	if s.parStat == "" {
-		return nil
+// sortKeyLess is the ORDER BY comparison over evaluated key tuples.
+func sortKeyLess(items []OrderItem, a, b []jsondom.Value) bool {
+	for k, it := range items {
+		c := compareForSort(a[k], b[k])
+		if it.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c < 0
+		}
 	}
-	return []string{s.parStat}
+	return false
 }
 
 // sortedIndexes sorts row indexes by ORDER BY items evaluated against

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,33 +129,6 @@ func TestParallelScanEquivalence(t *testing.T) {
 	}
 }
 
-func TestParallelScanUnorderedMultiset(t *testing.T) {
-	e := newNumEngine(t, 5000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
-	sql := `select n from nums where n >= 1000 and n < 4000`
-	e.Planner.DisableParallelScan = true
-	serial := mustExec(t, e, sql)
-	e.Planner.DisableParallelScan = false
-	e.Planner.ParallelUnordered = true
-	par := mustExec(t, e, sql)
-	if len(par.Rows) != len(serial.Rows) {
-		t.Fatalf("%d parallel rows vs %d serial", len(par.Rows), len(serial.Rows))
-	}
-	seen := make(map[string]int)
-	for _, r := range serial.Rows {
-		seen[string(r[0].(jsondom.Number))]++
-	}
-	for _, r := range par.Rows {
-		seen[string(r[0].(jsondom.Number))]--
-	}
-	for k, v := range seen {
-		if v != 0 {
-			t.Fatalf("multiset mismatch at %s: %+d", k, v)
-		}
-	}
-}
-
 func TestParallelScanNoGoroutineLeak(t *testing.T) {
 	e := newNumEngine(t, 5000)
 	e.Planner.ParallelDegree = 4
@@ -168,6 +142,73 @@ func TestParallelScanNoGoroutineLeak(t *testing.T) {
 	cancel()
 	if _, err := e.QueryContext(ctx, `select n from nums where n >= 0`); err == nil {
 		t.Fatal("cancelled parallel query should fail")
+	}
+	waitGoroutines(t, baseline)
+}
+
+// cancelAtPoll is a context whose Err turns into context.Canceled at
+// its k-th poll and stays there. The engine only ever polls Err (every
+// cancelCheckInterval ticks, per operator and per scan worker), so this
+// lands the cancellation at a chosen depth of a running query without
+// depending on wall-clock timing.
+type cancelAtPoll struct {
+	context.Context
+	k     int64
+	polls atomic.Int64
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBreakersOverParallelScanFaults: on a multi-core machine the
+// serial group-by, hash join and sort sit directly on the scan fleet.
+// A budget denial or a cancellation that strikes while the workers are
+// mid-partition (some parked on full channels, some still scanning)
+// must surface as the typed error, never a panic, with every worker
+// joined by the time the statement returns.
+func TestBreakersOverParallelScanFaults(t *testing.T) {
+	e := newNumEngine(t, 5000)
+	e.Planner.ParallelDegree = 4
+	e.Planner.ParallelMinRows = 1
+	queries := []struct{ op, sql string }{
+		{"GroupAgg", `select n, count(*) from nums where n >= 0 group by n`},
+		// both join inputs are fleets, open at the same time
+		{"HashJoin", `select a.n from (select n from nums where n >= 0) a
+			join (select n from nums where n < 5000) b on a.n = b.n`},
+		{"Sort", `select n from nums where n >= 0 order by n desc`},
+	}
+	for _, q := range queries {
+		plan := explainPlan(t, e, "explain "+q.sql)
+		if !strings.Contains(plan, q.op) || !strings.Contains(plan, "ParallelScan(nums degree=4") {
+			t.Fatalf("%s does not run over a parallel scan:\n%s", q.op, plan)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	for _, q := range queries {
+		// 5000 rows over 4 workers poll the context at least 16 times
+		// before the scan can finish, so every k here fires mid-query
+		for k := int64(1); k <= 12; k++ {
+			ctx := &cancelAtPoll{Context: context.Background(), k: k}
+			if _, err := e.QueryContext(ctx, q.sql); !errors.Is(err, ErrQueryCancelled) {
+				t.Errorf("%s cancelled at poll %d: want ErrQueryCancelled, got %v", q.op, k, err)
+			}
+		}
+		// from "the first charge is denied" up to "denied after a few
+		// thousand buffered rows, with the fleet well under way"
+		for _, budget := range []int64{1, 1 << 10, 1 << 14, 1 << 16} {
+			e.Planner.MemoryBudget = budget
+			if _, err := e.Exec(q.sql); !errors.Is(err, ErrMemoryBudget) {
+				t.Errorf("%s under a %d-byte budget: want ErrMemoryBudget, got %v", q.op, budget, err)
+			}
+		}
+		e.Planner.MemoryBudget = 0
+		if r := mustExec(t, e, q.sql); len(r.Rows) != 5000 {
+			t.Errorf("%s after the faults: %d rows, want 5000", q.op, len(r.Rows))
+		}
 	}
 	waitGoroutines(t, baseline)
 }

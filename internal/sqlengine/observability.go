@@ -79,9 +79,9 @@ var (
 // sql.scan.rows: document and row volumes through the pooled
 // ExpandState, prefilter prunes, and evaluation-scratch freelist hits.
 var (
-	mJSONTableDocs      = metrics.NewCounter("sql.jsontable.docs", "documents bound for JSON_TABLE expansion")
-	mJSONTableRows      = metrics.NewCounter("sql.jsontable.rows", "rows emitted by JSON_TABLE expansion")
-	mJSONTablePruned    = metrics.NewCounter("sql.jsontable.docs_pruned", "documents skipped whole by JSON_EXISTS prefilters")
+	mJSONTableDocs       = metrics.NewCounter("sql.jsontable.docs", "documents bound for JSON_TABLE expansion")
+	mJSONTableRows       = metrics.NewCounter("sql.jsontable.rows", "rows emitted by JSON_TABLE expansion")
+	mJSONTablePruned     = metrics.NewCounter("sql.jsontable.docs_pruned", "documents skipped whole by JSON_EXISTS prefilters")
 	mJSONTableArenaHits  = metrics.NewCounter("sql.jsontable.arena_hits", "path-evaluation scratch checkouts served from the expansion arena freelists")
 	mJSONTableInternHits = metrics.NewCounter("sql.jsontable.intern_hits", "column values served from the expansion value dictionaries instead of freshly boxed")
 )
@@ -92,20 +92,6 @@ var (
 var (
 	mDictProbeBuilds = metrics.NewCounter("imc.dictprobe.builds", "hash-join builds executed in code space")
 	mDictProbeRows   = metrics.NewCounter("imc.dictprobe.rows", "probe-side rows matched through code-space lookup")
-)
-
-// Morsel-driven parallel operator metrics (parexec.go): partition
-// fan-outs of aggregation/probe/sort above the scan, their worker
-// counts, partial-aggregate volumes, probe throughput, merge-side
-// stalls, and execution-time fallbacks to the serial operators.
-var (
-	mParExecOps           = metrics.NewCounter("sql.parexec.ops", "operators (agg/probe/sort) that ran with partition fan-out")
-	mParExecWorkers       = metrics.NewCounter("sql.parexec.workers", "worker goroutines launched by parallel operators")
-	mParExecPartialGroups = metrics.NewCounter("sql.parexec.partial_groups", "groups accumulated in per-worker partial-aggregate tables")
-	mParExecMergedGroups  = metrics.NewCounter("sql.parexec.merged_groups", "groups remaining after the partial-aggregate merge")
-	mParExecProbeRows     = metrics.NewCounter("sql.parexec.probe_rows", "probe-side rows processed by parallel join workers")
-	mParExecMergeStalls   = metrics.NewCounter("sql.parexec.merge_stalls", "parallel-operator merge waits on an empty worker channel")
-	mParExecFallbacks     = metrics.NewCounter("sql.parexec.serial_fallbacks", "parallel-exec candidates that fell back to serial at execution time")
 )
 
 // Cost-based planner metrics (docs/OPTIMIZER.md): how often the

@@ -3,10 +3,9 @@
 // large enough: the row-id space is split into K contiguous
 // partitions, one worker goroutine scans each partition through a
 // clone of the scan, evaluates the residual WHERE locally, and sends
-// surviving rows over a bounded channel. The default ordered merge
-// drains the per-worker channels in partition order, reproducing the
-// serial row order exactly; the unordered merge (opt-in) interleaves
-// workers for lower latency when order is irrelevant.
+// surviving rows over a bounded channel. The merge drains the
+// per-worker channels in partition order, reproducing the serial row
+// order exactly.
 //
 // Workers share no mutable state: each owns its scan clone, its
 // evaluation context, and its cancellation tick counter. The residual
@@ -51,13 +50,11 @@ type parallelScanOp struct {
 	template *tableScan
 	// filter is the residual WHERE absorbed into the workers (may be
 	// nil); each worker evaluates its own clone.
-	filter    Expr
-	env       *planEnv
-	degree    int
-	unordered bool
+	filter Expr
+	env    *planEnv
+	degree int
 
-	chans     []chan parRow // ordered merge: one channel per worker
-	out       chan parRow   // unordered merge: shared channel
+	chans     []chan parRow // one per worker, merged in partition order
 	cur       int
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -105,10 +102,7 @@ func (e *Engine) parallelizeScan(src rowSource, where Expr, env *planEnv) rowSou
 	if scan.tab.MaxRowID() < minRows {
 		return nil
 	}
-	return &parallelScanOp{
-		template: scan, filter: where, env: env,
-		degree: degree, unordered: e.Planner.ParallelUnordered,
-	}
+	return &parallelScanOp{template: scan, filter: where, env: env, degree: degree}
 }
 
 func (p *parallelScanOp) Schema() Schema { return p.template.Schema() }
@@ -118,9 +112,7 @@ func (p *parallelScanOp) Schema() Schema { return p.template.Schema() }
 // imc.ChunkSize boundaries so no chunk is split between workers —
 // every worker's lo lands on a chunk start and its kernels, zone maps,
 // and selection bitmaps line up with the vector's chunk grid.
-// Otherwise the table's default equal split. Shared by the parallel
-// scan and the parallel operator layer (parexec.go), so both fan-outs
-// slice the table identically.
+// Otherwise the table's default equal split.
 func scanPartitions(scan *tableScan, degree int) [][2]int {
 	if !scan.batchMode {
 		return scan.tab.Partitions(degree)
@@ -145,17 +137,14 @@ func scanPartitions(scan *tableScan, degree int) [][2]int {
 	return parts
 }
 
-// partitions computes this operator's worker ranges.
-func (p *parallelScanOp) partitions() [][2]int { return scanPartitions(p.template, p.degree) }
-
 func (p *parallelScanOp) Open(ec *ExecCtx) error {
 	p.st = ec.statFor()
 	p.stop = make(chan struct{})
 	p.closeOnce = sync.Once{}
-	p.chans, p.out, p.cur = nil, nil, 0
+	p.chans, p.cur = nil, 0
 	p.workers = nil
 	p.held, p.heldPos = nil, 0
-	parts := p.partitions()
+	parts := scanPartitions(p.template, p.degree)
 	if len(parts) == 0 {
 		return nil
 	}
@@ -165,50 +154,27 @@ func (p *parallelScanOp) Open(ec *ExecCtx) error {
 	if p.template.batchOut {
 		chanCap = parBatchChanCap
 	}
-	if p.unordered {
-		p.out = make(chan parRow, chanCap*len(parts))
-	} else {
-		p.chans = make([]chan parRow, len(parts))
-		for i := range p.chans {
-			p.chans[i] = make(chan parRow, chanCap)
-		}
-	}
+	p.chans = make([]chan parRow, len(parts))
 	p.wg.Add(len(parts))
 	for i, part := range parts {
+		p.chans[i] = make(chan parRow, chanCap)
 		scan := p.template.cloneForRange(part[0], part[1])
 		p.workers = append(p.workers, scan)
-		var ch chan parRow
-		if !p.unordered {
-			ch = p.chans[i]
-		}
 		// workers share the residual filter expression: its leaves are
 		// immutable during evaluation and compiled JSON path state
 		// (pathengine.Compiled) is race-safe by contract, so each worker
 		// only needs its own evalCtx, built in worker()
-		go p.worker(ec, scan, p.filter, ch)
-	}
-	if p.unordered {
-		go func() {
-			p.wg.Wait()
-			close(p.out)
-		}()
+		go p.worker(ec, scan, p.filter, p.chans[i])
 	}
 	return nil
 }
 
-// worker scans one partition. ch is the worker-owned channel under the
-// ordered merge (closed on exit); under the unordered merge ch is nil
-// and rows go to the shared p.out.
-func (p *parallelScanOp) worker(ec *ExecCtx, scan *tableScan, pred Expr, ch chan parRow) {
+// worker scans one partition into its own channel, closed on exit.
+func (p *parallelScanOp) worker(ec *ExecCtx, scan *tableScan, pred Expr, out chan parRow) {
 	defer p.wg.Done()
+	defer close(out)
 	var delivered int64
 	defer func() { mParRows.Add(delivered) }()
-	out := ch
-	if out == nil {
-		out = p.out
-	} else {
-		defer close(ch)
-	}
 	if err := scan.Open(ec); err != nil {
 		p.send(out, parRow{err: err})
 		return
@@ -398,16 +364,9 @@ func (p *parallelScanOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	}
 }
 
-// recv pulls the next merge input: the shared channel under the
-// unordered merge, the per-worker channels in partition order
-// otherwise.
+// recv pulls the next merge input from the per-worker channels in
+// partition order.
 func (p *parallelScanOp) recv() (parRow, bool) {
-	if p.unordered {
-		if p.out == nil {
-			return parRow{}, false
-		}
-		return recvCounted(p.out)
-	}
 	for p.cur < len(p.chans) {
 		r, ok := recvCounted(p.chans[p.cur])
 		if !ok {
@@ -449,11 +408,7 @@ func (p *parallelScanOp) Close() error {
 }
 
 func (p *parallelScanOp) opName() string {
-	merge := "ordered"
-	if p.unordered {
-		merge = "unordered"
-	}
-	name := fmt.Sprintf("ParallelScan(%s degree=%d %s", p.template.tab.Name, p.degree, merge)
+	name := fmt.Sprintf("ParallelScan(%s degree=%d ordered", p.template.tab.Name, p.degree)
 	if p.filter != nil {
 		name += " filtered"
 	}

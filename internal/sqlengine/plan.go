@@ -109,7 +109,7 @@ func (h *hashJoin) clonePlan(env *planEnv) rowSource {
 		left:         clonePlanTree(h.left, env), right: clonePlanTree(h.right, env),
 		leftKeys: h.leftKeys, rightKeys: h.rightKeys, residual: h.residual,
 		leftOuter: h.leftOuter, env: env, sch: h.sch, batch: h.batch,
-		buildLeft: h.buildLeft, parExec: h.parExec, parDegree: h.parDegree,
+		buildLeft: h.buildLeft,
 	}
 }
 
@@ -118,8 +118,7 @@ func (h *hashJoin) clonePlan(env *planEnv) rowSource {
 // constructor again, which would re-append synthetic columns.
 func (g *groupAggOp) clonePlan(env *planEnv) rowSource {
 	return &groupAggOp{planEstimate: g.planEstimate, in: clonePlanTree(g.in, env), groupBy: g.groupBy,
-		aggs: g.aggs, env: env, implicitGroup: g.implicitGroup, sch: g.sch, batch: g.batch,
-		parExec: g.parExec, parDegree: g.parDegree}
+		aggs: g.aggs, env: env, implicitGroup: g.implicitGroup, sch: g.sch, batch: g.batch}
 }
 
 func (w *windowOp) clonePlan(env *planEnv) rowSource {
@@ -127,8 +126,7 @@ func (w *windowOp) clonePlan(env *planEnv) rowSource {
 }
 
 func (s *sortOp) clonePlan(env *planEnv) rowSource {
-	return &sortOp{planEstimate: s.planEstimate, in: clonePlanTree(s.in, env), items: s.items, env: env,
-		batch: s.batch, parExec: s.parExec, parDegree: s.parDegree}
+	return &sortOp{planEstimate: s.planEstimate, in: clonePlanTree(s.in, env), items: s.items, env: env, batch: s.batch}
 }
 
 func (w *aliasWrap) clonePlan(env *planEnv) rowSource {
@@ -137,6 +135,5 @@ func (w *aliasWrap) clonePlan(env *planEnv) rowSource {
 
 func (p *parallelScanOp) clonePlan(env *planEnv) rowSource {
 	scan, _ := p.template.clonePlan(env).(*tableScan)
-	return &parallelScanOp{planEstimate: p.planEstimate, template: scan, filter: p.filter, env: env,
-		degree: p.degree, unordered: p.unordered}
+	return &parallelScanOp{planEstimate: p.planEstimate, template: scan, filter: p.filter, env: env, degree: p.degree}
 }
