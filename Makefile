@@ -2,13 +2,13 @@
 # vet, the fsdmvet invariant checkers, tests, and the godoc lint.
 # `make race` runs the race detector over the whole tree plus the
 # concurrent engine packages (imc, pathengine, sqlengine parallel
-# scans); CI runs it as its own job so analyzer findings and data
+# scans and concurrent joins); CI runs it as its own job so analyzer findings and data
 # races fail independently.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz doccheck bench-smoke bench-json check
+.PHONY: all build test race vet lint fuzz doccheck bench-smoke bench-json loc check
 
 all: build
 
@@ -27,7 +27,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/imc
 	$(GO) test -race -count=1 ./internal/pathengine
-	$(GO) test -race -count=1 -run 'TestParallelScan|TestBreakersOverParallelScan' ./internal/sqlengine
+	$(GO) test -race -count=1 -run 'TestParallelScan|TestBreakersOverParallelScan|TestConcurrentJoinsShareNoBatch' ./internal/sqlengine
 
 vet:
 	$(GO) vet ./...
@@ -75,4 +75,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'Fig[356]' -benchmem -json . | tee BENCH_PR9.json
 	$(GO) test -run '^$$' -bench 'Table|Fig[4789]' -benchmem -json .
 
-check: build vet lint test doccheck bench-smoke
+# ROADMAP aim 2's tracked metric: non-test lines of the engine package.
+loc:
+	@ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l | xargs echo "sqlengine non-test lines:"
+
+check: build vet lint test doccheck bench-smoke loc

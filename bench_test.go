@@ -130,63 +130,17 @@ func BenchmarkFig6NoBenchVCIMC(b *testing.B) {
 	}, bench.Fig6Queries)
 }
 
-// BenchmarkFig6Vectorized compares the batch-vectorized IMC scan path
-// (selection bitmaps + zone-map pruning, the default) against the
-// row-at-a-time vector-filter path, per Fig. 6 query, at a scale where
-// the ~1%-selectivity ranges land in one of the vectors' sixteen chunks
-// and zone maps skip the rest. The scan-bound queries (Q6, Q7) isolate
-// the scan speedup; Q10 and Q11 are dominated by grouping and the
-// hash join, so their ratios bound the end-to-end effect.
+// BenchmarkFig6Vectorized measures the batch-vectorized IMC scan path
+// (selection bitmaps + zone-map pruning) per Fig. 6 query, at a scale
+// where the ~1%-selectivity ranges land in one of the vectors' sixteen
+// chunks and zone maps skip the rest. The scan-bound queries (Q6, Q7)
+// isolate the scan; Q10 and Q11 are dominated by grouping and the hash
+// join. (Last numbers of the retired row-at-a-time arm: EXPERIMENTS.md,
+// "One spine".)
 func BenchmarkFig6Vectorized(b *testing.B) {
 	const nDocs = 16384
 	for _, qi := range bench.Fig6Queries {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{
-			{"vectorized", false},
-			{"row-at-a-time", true},
-		} {
-			b.Run(fmt.Sprintf("Q%d/%s", qi+1, mode.name), func(b *testing.B) {
-				env, err := bench.SetupNoBench(nDocs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := env.EnableOSONIMC(); err != nil {
-					b.Fatal(err)
-				}
-				if err := env.EnableVCIMC(); err != nil {
-					b.Fatal(err)
-				}
-				env.Eng.Planner.DisableVectorizedScan = mode.disable
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := env.RunQuery(qi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig6GroupedAgg isolates the code-space grouped-aggregation
-// fast path on Fig. 6's Q10 shape: group on the low-cardinality
-// $.thousandth key, aggregate over $.num. The serial arms run over
-// the same VC-backed vectors; "batch" hashes float-bits words
-// straight off the number vector, "row-at-a-time" evaluates and
-// hashes jsondom keys per row (expected >= 2x apart).
-func BenchmarkFig6GroupedAgg(b *testing.B) {
-	const nDocs = 16384
-	const query = `select jdoc$thousandth, count(*), sum(jdoc$num), min(jdoc$num), max(jdoc$num) from nobench group by jdoc$thousandth`
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"batch", false},
-		{"row-at-a-time", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("Q%d/vectorized", qi+1), func(b *testing.B) {
 			env, err := bench.SetupNoBench(nDocs)
 			if err != nil {
 				b.Fatal(err)
@@ -197,20 +151,47 @@ func BenchmarkFig6GroupedAgg(b *testing.B) {
 			if err := env.EnableVCIMC(); err != nil {
 				b.Fatal(err)
 			}
-			if err := env.AddVC("jdoc$thousandth",
-				`alter table nobench add virtual column jdoc$thousandth as json_value(jdoc, '$.thousandth' returning number)`); err != nil {
-				b.Fatal(err)
-			}
-			env.Eng.Planner.DisableParallelScan = true
-			env.Eng.Planner.DisableBatchExec = mode.disable
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.Eng.Exec(query); err != nil {
+				if _, _, err := env.RunQuery(qi); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkFig6GroupedAgg isolates the code-space grouped-aggregation
+// fast path on Fig. 6's Q10 shape: group on the low-cardinality
+// $.thousandth key, aggregate over $.num, hashing float-bits words
+// straight off the number vector. (Last numbers of the retired
+// row-at-a-time arm: EXPERIMENTS.md, "One spine".)
+func BenchmarkFig6GroupedAgg(b *testing.B) {
+	const nDocs = 16384
+	const query = `select jdoc$thousandth, count(*), sum(jdoc$num), min(jdoc$num), max(jdoc$num) from nobench group by jdoc$thousandth`
+	b.Run("batch", func(b *testing.B) {
+		env, err := bench.SetupNoBench(nDocs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := env.EnableOSONIMC(); err != nil {
+			b.Fatal(err)
+		}
+		if err := env.EnableVCIMC(); err != nil {
+			b.Fatal(err)
+		}
+		if err := env.AddVC("jdoc$thousandth",
+			`alter table nobench add virtual column jdoc$thousandth as json_value(jdoc, '$.thousandth' returning number)`); err != nil {
+			b.Fatal(err)
+		}
+		env.Eng.Planner.DisableParallelScan = true
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.Eng.Exec(query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFig5Prepared measures the OLTP fast path on the NOBENCH

@@ -24,14 +24,6 @@
 //	                            (default 100ms)
 //	-plan-cache n               LRU plan cache capacity; 0 disables
 //	                            caching (every statement hard-parses)
-//	-imc-vectorized             batch-vectorized IMC scans (selection
-//	                            bitmaps + zone-map pruning); default
-//	                            true, false keeps the row-at-a-time
-//	                            vector filter path
-//	-batch-exec                 batch execution spine (pooled row
-//	                            batches + code-space agg/join fast
-//	                            paths); default true, false keeps
-//	                            row-at-a-time operators
 //	-cost-based                 cost-based planning from DataGuide/IMC
 //	                            statistics (conjunct ordering, access
 //	                            path and join build-side selection);
@@ -92,15 +84,11 @@ func runSQL(args []string) {
 	slowLog := fs.String("slow-query-log", "", `write slow-query entries to this file ("stderr" for standard error)`)
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency at or above which a statement is logged")
 	planCache := fs.Int("plan-cache", 128, "LRU plan cache capacity; 0 disables caching")
-	imcVectorized := fs.Bool("imc-vectorized", true, "batch-vectorized IMC scans (selection bitmaps + zone-map pruning); false keeps the row-at-a-time vector filters")
-	batchExec := fs.Bool("batch-exec", true, "batch execution spine (pooled row batches through filter/project/limit, code-space aggregation and join fast paths); false keeps row-at-a-time operators")
 	costBased := fs.Bool("cost-based", true, "cost-based planning from DataGuide/IMC statistics (conjunct ordering, access-path and join build-side selection); false keeps the heuristic planner")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	eng := sqlengine.New()
 	eng.SetPlanCacheSize(*planCache)
-	eng.Planner.DisableVectorizedScan = !*imcVectorized
-	eng.Planner.DisableBatchExec = !*batchExec
 	eng.Planner.DisableCostBasedPlanner = !*costBased
 	if *slowLog != "" {
 		var w io.Writer = os.Stderr

@@ -2,7 +2,7 @@
 // The engine's hot locks (plan cache, prepared statements, IMC column
 // maps, store catalogs) guard in-memory state and are expected to be
 // held for nanoseconds. A channel operation, an operator pull
-// (Next/NextBatch — which in the parallel operators blocks on worker
+// (NextBatch — which in the parallel scan blocks on worker
 // channels), a store DML call, or a WaitGroup.Wait inside such a
 // critical section stalls every other query on the lock, and with the
 // parallel operators in the mix it can deadlock outright: a worker
@@ -31,7 +31,7 @@ import (
 // WaitGroup waits inside mutex critical sections.
 var BlockCheck = &analysis.Analyzer{
 	Name: "blockcheck",
-	Doc:  "no channel send/receive, Next/NextBatch pull, store DML, or WaitGroup.Wait while a sync mutex is held",
+	Doc:  "no channel send/receive, NextBatch pull, store DML, or WaitGroup.Wait while a sync mutex is held",
 	Run:  runBlockCheck,
 }
 
@@ -202,8 +202,8 @@ func blockingOp(info *types.Info, n ast.Node) string {
 }
 
 // blockingCallName matches method calls that pull from an operator
-// cursor (Next/NextBatch) or run store DML, both of which can block or
-// re-enter the engine.
+// (NextBatch) or run store DML, both of which can block or re-enter
+// the engine.
 func blockingCallName(info *types.Info, call *ast.CallExpr) string {
 	fn, ok := callee(info, call).(*types.Func)
 	if !ok {
@@ -214,11 +214,8 @@ func blockingCallName(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "Next", "NextBatch":
-		// operator cursors take the batch/row destination (or nothing
-		// and return one); map/set iterators named Next() with no
-		// arguments and multiple results stay exempt only via ignore
-		return "cursor " + fn.Name() + " pull"
+	case "NextBatch":
+		return "operator " + fn.Name() + " pull"
 	case "Insert", "Update", "Delete":
 		if pkg, _, _ := baseTypeName(sig.Recv().Type()); pkg != nil &&
 			strings.HasSuffix(pkg.Path(), "internal/store") {

@@ -18,11 +18,12 @@ import (
 // CancelCheck flags unbounded row loops that never tick the query
 // context. A loop needs a tick when it
 //
-//   - pulls from a child row source (a call to Next, NextBatch,
-//     nextBatch, or nextSelID passing an *ExecCtx),
+//   - pulls from a child row source (a call to NextBatch, to one of
+//     the row steps built on it — batchCursor's next, a rowStepper's
+//     step — or to nextSelID, passing an *ExecCtx),
 //   - performs per-row store DML (Insert/Update/Delete on a
 //     store.Table-shaped receiver), or
-//   - is a condition-less `for {}` inside a Next/NextBatch/nextBatch
+//   - is a condition-less `for {}` inside a NextBatch/next/step
 //     method.
 //
 // A tick is a call to tickErr, to any .Err() method (the inline
@@ -43,7 +44,7 @@ func runCancelCheck(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || !hasCancelParam(pass.TypesInfo, fd) {
 				continue
 			}
-			nextShaped := fd.Name.Name == "Next" || fd.Name.Name == "NextBatch" || fd.Name.Name == "nextBatch"
+			nextShaped := fd.Name.Name == "NextBatch" || fd.Name.Name == "next" || fd.Name.Name == "step"
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				var body *ast.BlockStmt
 				uncond := false
@@ -96,10 +97,12 @@ func hasCancelParam(info *types.Info, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// pullsRowSource reports whether the loop body calls a Next,
-// NextBatch, nextBatch, or nextSelID method that receives an
-// *ExecCtx — the row-source pull shapes, including the selected-row-id
-// pull the code-space aggregation and join loops drive directly.
+// pullsRowSource reports whether the loop body calls a NextBatch,
+// next, step, or nextSelID method that receives an *ExecCtx — the
+// operator pull, the row steps layered on it (fillBatch's loop drives
+// step; build loops drive a batchCursor's next), and the
+// selected-row-id pull the code-space aggregation and join loops
+// drive directly.
 func pullsRowSource(info *types.Info, body ast.Node) bool {
 	return containsCall(body, func(call *ast.CallExpr) bool {
 		sel := selectorCall(call)
@@ -107,7 +110,7 @@ func pullsRowSource(info *types.Info, body ast.Node) bool {
 			return false
 		}
 		switch sel.Sel.Name {
-		case "Next", "NextBatch", "nextBatch", "nextSelID":
+		case "NextBatch", "next", "step", "nextSelID":
 		default:
 			return false
 		}

@@ -23,7 +23,7 @@
 //   - escapecheck: flow-sensitive poolcheck — a pooled value is never
 //     read, stored to a field, sent on a channel, or captured by a
 //     closure after any path has released it (CFG + may-alias).
-//   - blockcheck: no channel operation, cursor Next/NextBatch pull,
+//   - blockcheck: no channel operation, operator NextBatch pull,
 //     store DML, or WaitGroup.Wait while a sync mutex is held.
 //
 // The last three are flow-sensitive, built on the CFG/dataflow layer

@@ -1,4 +1,4 @@
-// Package blockdemo exercises blockcheck: channel operations, cursor
+// Package blockdemo exercises blockcheck: channel operations, operator
 // pulls, store DML, and WaitGroup joins inside mutex critical
 // sections, with the non-blocking select-with-default and
 // unlock-then-operate shapes staying silent.
@@ -14,9 +14,9 @@ type engine struct {
 	n   int
 }
 
-type cursor struct{ n int }
+type operator struct{ n int }
 
-func (c *cursor) Next() (int, bool) { return 0, false }
+func (o *operator) NextBatch() (int, bool) { return 0, false }
 
 // GoodOutside releases before the channel work.
 func (e *engine) GoodOutside(v int) {
@@ -46,11 +46,11 @@ func (e *engine) RecvUnderRLock() int {
 	return <-e.out // want "channel receive while e.rw is held"
 }
 
-// PullUnderLock pulls an operator cursor inside the section.
-func (e *engine) PullUnderLock(c *cursor) int {
+// PullUnderLock pulls an operator inside the section.
+func (e *engine) PullUnderLock(o *operator) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v, _ := c.Next() // want "cursor Next pull while e.mu is held"
+	v, _ := o.NextBatch() // want "operator NextBatch pull while e.mu is held"
 	return v
 }
 

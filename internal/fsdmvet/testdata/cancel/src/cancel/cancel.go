@@ -14,11 +14,12 @@ func (e *ExecCtx) tickErr(ticks *int) error { return nil }
 // Err mirrors the inline ticks%interval==0 check target.
 func (e *ExecCtx) Err() error { return nil }
 
-// source is a row source: Next pulls one row under an ExecCtx.
+// source is a row step over a batch input (the batchCursor shape):
+// next pulls one row under an ExecCtx.
 type source struct{ n int }
 
-// Next returns the next row id, or an error when drained.
-func (s *source) Next(ec *ExecCtx) (int, error) { return s.n, nil }
+// next returns the next row id, or an error when drained.
+func (s *source) next(ec *ExecCtx) (int, error) { return s.n, nil }
 
 // Table mimics the store table's DML surface.
 type Table struct{}
@@ -29,7 +30,7 @@ func (t *Table) Delete(id int) {}
 // drainBad pulls a child source forever without ever ticking.
 func drainBad(ec *ExecCtx, src *source) {
 	for { // want "pulls a child row source"
-		if _, err := src.Next(ec); err != nil {
+		if _, err := src.next(ec); err != nil {
 			return
 		}
 	}
@@ -42,7 +43,7 @@ func drainGood(ec *ExecCtx, src *source) {
 		if err := ec.tickErr(&ticks); err != nil {
 			return
 		}
-		if _, err := src.Next(ec); err != nil {
+		if _, err := src.next(ec); err != nil {
 			return
 		}
 	}
@@ -70,11 +71,12 @@ func deleteGood(ctx context.Context, t *Table, ids []int) {
 	}
 }
 
-// looper is a row source whose Next spins on an internal condition.
+// looper is a row stepper (the join shape fillBatch drives) whose step
+// spins on an internal condition.
 type looper struct{ n int }
 
-// Next has a condition-less for{} — unbounded by construction.
-func (l *looper) Next(ec *ExecCtx) (int, error) {
+// step has a condition-less for{} — unbounded by construction.
+func (l *looper) step(ec *ExecCtx) (int, error) {
 	for { // want "unbounded for"
 		if l.n > 0 {
 			return l.n, nil
@@ -86,8 +88,8 @@ func (l *looper) Next(ec *ExecCtx) (int, error) {
 // ticker is the compliant variant of looper.
 type ticker struct{ n int }
 
-// Next checks the context on every spin.
-func (t *ticker) Next(ec *ExecCtx) (int, error) {
+// step checks the context on every spin.
+func (t *ticker) step(ec *ExecCtx) (int, error) {
 	for {
 		if err := ec.Err(); err != nil {
 			return 0, err
@@ -180,12 +182,40 @@ func (s *spinner) NextBatch(ec *ExecCtx, max int) (*Batch, error) {
 	}
 }
 
+// fillBad is the shared fill helper's loop without its tick: it drives
+// a row step until the batch is full.
+func fillBad(ec *ExecCtx, l *looper, lim int) int {
+	n := 0
+	for n < lim { // want "pulls a child row source"
+		if _, err := l.step(ec); err != nil {
+			return n
+		}
+		n++
+	}
+	return n
+}
+
+// fillGood ticks once per stepped row.
+func fillGood(ec *ExecCtx, l *looper, lim int) int {
+	n, ticks := 0, 0
+	for n < lim {
+		if err := ec.tickErr(&ticks); err != nil {
+			return n
+		}
+		if _, err := l.step(ec); err != nil {
+			return n
+		}
+		n++
+	}
+	return n
+}
+
 // noCtx cannot see a query context, so cancelcheck leaves it alone.
 func noCtx(src *source) int {
 	var ec *ExecCtx
 	total := 0
 	for i := 0; i < 3; i++ {
-		v, err := src.Next(ec)
+		v, err := src.next(ec)
 		if err != nil {
 			return total
 		}

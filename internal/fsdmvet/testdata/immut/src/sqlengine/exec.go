@@ -16,6 +16,13 @@ func recycle(b *Batch) {
 	b.rows[0] = []int{1} // want "element write into"
 }
 
+// emit is a breaker's NextBatch done wrong: it fills the header in
+// place instead of going through sliceBatch.
+func emit(b *Batch, rows [][]int) *Batch {
+	b.rows = append(b.rows, rows...) // want "immutable after construction"
+	return sliceBatch(b, rows)
+}
+
 // retarget redirects a fast-path spec outside the spine file.
 func retarget(sp *aggFastSpec) {
 	sp.vec = nil // want "immutable after construction"

@@ -15,6 +15,14 @@ func (b *Batch) reset() {
 	b.rows = b.rows[:0]
 }
 
+// sliceBatch fills a header from a breaker's materialized rows: the
+// breakers' NextBatch bodies reach Batch internals only through it, so
+// the write stays inside the spine file — legal.
+func sliceBatch(b *Batch, rows [][]int) *Batch {
+	b.rows = append(b.rows, rows...)
+	return b
+}
+
 // aggFastSpec is the per-aggregate plan of the code-space fast path.
 type aggFastSpec struct {
 	kind int

@@ -238,38 +238,6 @@ func (s *Store) Partitions(k int) [][2]int {
 	return parts
 }
 
-// CompileFilter builds a vectorized predicate over a populated column
-// vector: op is one of = != < <= > >= between (between takes two
-// operands). The returned function tests one row id against the vector
-// without materializing the row — the columnar predicate evaluation
-// that gives VC-IMC its edge over per-document navigation (§5.2.1).
-func (s *Store) CompileFilter(col, op string, operands []jsondom.Value) (func(rowID int) bool, bool) {
-	vec, ok := s.vector(col)
-	if !ok {
-		return nil, false
-	}
-	if vec.IsNumber {
-		nums := make([]float64, len(operands))
-		for i, o := range operands {
-			f, ok := numericOperand(o)
-			if !ok {
-				return nil, false
-			}
-			nums[i] = f
-		}
-		return numberFilter(vec, op, nums)
-	}
-	strs := make([]string, len(operands))
-	for i, o := range operands {
-		sv, ok := o.(jsondom.String)
-		if !ok {
-			return nil, false
-		}
-		strs[i] = string(sv)
-	}
-	return stringFilter(vec, op, strs)
-}
-
 func numericOperand(v jsondom.Value) (float64, bool) {
 	switch t := v.(type) {
 	case jsondom.Number:
@@ -278,70 +246,6 @@ func numericOperand(v jsondom.Value) (float64, bool) {
 		return float64(t), true
 	}
 	return 0, false
-}
-
-func numberFilter(vec *Vector, op string, args []float64) (func(int) bool, bool) {
-	test := func(cmp func(float64) bool) func(int) bool {
-		return func(i int) bool {
-			if i < 0 || i >= len(vec.Nulls) || vec.Nulls[i] {
-				return false
-			}
-			return cmp(vec.Nums[i])
-		}
-	}
-	switch {
-	case op == "=" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v == a }), true
-	case op == "!=" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v != a }), true
-	case op == "<" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v < a }), true
-	case op == "<=" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v <= a }), true
-	case op == ">" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v > a }), true
-	case op == ">=" && len(args) == 1:
-		a := args[0]
-		return test(func(v float64) bool { return v >= a }), true
-	case op == "between" && len(args) == 2:
-		lo, hi := args[0], args[1]
-		return test(func(v float64) bool { return v >= lo && v <= hi }), true
-	}
-	return nil, false
-}
-
-// stringFilter evaluates string predicates in dictionary-code space:
-// the predicate is translated once against the sorted dictionary
-// (stringCodePlan) and each per-row test compares the row's 4-byte
-// code, never the string payload.
-func stringFilter(vec *Vector, op string, args []string) (func(int) bool, bool) {
-	plan, ok := stringCodePlan(vec.dict, op, args)
-	if !ok {
-		return nil, false
-	}
-	test := func(cmp func(uint32) bool) func(int) bool {
-		return func(i int) bool {
-			if i < 0 || i >= len(vec.Nulls) || vec.Nulls[i] {
-				return false
-			}
-			return cmp(vec.codes[i])
-		}
-	}
-	switch plan.kind {
-	case planEmpty:
-		return func(int) bool { return false }, true
-	case planNotEqual:
-		ne := plan.ne
-		return test(func(c uint32) bool { return c != ne }), true
-	default:
-		lo, hi := plan.lo, plan.hi
-		return test(func(c uint32) bool { return c >= lo && c <= hi }), true
-	}
 }
 
 // Vector returns a populated vector by column name.

@@ -257,7 +257,10 @@ func TestPopulateOSONShared(t *testing.T) {
 	}
 }
 
-func TestCompileFilter(t *testing.T) {
+// TestCompileBatchFilter pins every supported predicate shape to its
+// expected matches on a four-row vector pair, and every shape the
+// compiler must decline.
+func TestCompileBatchFilter(t *testing.T) {
 	tab := store.MustNewTable("t", store.Column{Name: "j", Type: store.TypeVarchar})
 	for _, d := range []string{
 		`{"n":1,"s":"apple"}`, `{"n":2,"s":"banana"}`, `{"n":3,"s":"cherry"}`, `{}`,
@@ -287,10 +290,12 @@ func TestCompileFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	matches := func(f func(int) bool) []int {
+	matches := func(k BatchKernel) []int {
+		sel := NewBitmap(4)
+		k.And(0, sel)
 		var out []int
 		for i := 0; i < 4; i++ {
-			if f(i) {
+			if sel.Get(i) {
 				out = append(out, i)
 			}
 		}
@@ -320,12 +325,12 @@ func TestCompileFilter(t *testing.T) {
 		{"vs", "between", []jsondom.Value{jsondom.String("b"), jsondom.String("c")}, []int{1}},
 	}
 	for _, c := range cases {
-		f, ok := s.CompileFilter(c.col, c.op, c.args)
+		k, ok := s.CompileBatchFilter(c.col, c.op, c.args)
 		if !ok {
 			t.Errorf("%s %s: not compiled", c.col, c.op)
 			continue
 		}
-		got := matches(f)
+		got := matches(k)
 		if len(got) != len(c.want) {
 			t.Errorf("%s %s %v: got %v, want %v", c.col, c.op, c.args, got, c.want)
 			continue
@@ -339,24 +344,40 @@ func TestCompileFilter(t *testing.T) {
 	}
 
 	// unsupported shapes decline compilation instead of mis-filtering
-	if _, ok := s.CompileFilter("missing", "=", []jsondom.Value{num("1")}); ok {
+	if _, ok := s.CompileBatchFilter("missing", "=", []jsondom.Value{num("1")}); ok {
 		t.Error("missing column compiled")
 	}
-	if _, ok := s.CompileFilter("vn", "like", []jsondom.Value{num("1")}); ok {
+	if _, ok := s.CompileBatchFilter("vn", "like", []jsondom.Value{num("1")}); ok {
 		t.Error("unsupported op compiled")
 	}
-	if _, ok := s.CompileFilter("vn", "=", []jsondom.Value{jsondom.String("x")}); ok {
+	if _, ok := s.CompileBatchFilter("vn", "=", []jsondom.Value{jsondom.String("x")}); ok {
 		t.Error("type-mismatched operand compiled")
 	}
-	if _, ok := s.CompileFilter("vs", "=", []jsondom.Value{num("1")}); ok {
+	if _, ok := s.CompileBatchFilter("vs", "=", []jsondom.Value{num("1")}); ok {
 		t.Error("number operand against string vector compiled")
 	}
-	if _, ok := s.CompileFilter("vn", "between", []jsondom.Value{num("1")}); ok {
+	if _, ok := s.CompileBatchFilter("vn", "between", []jsondom.Value{num("1")}); ok {
 		t.Error("between with one operand compiled")
 	}
-	// out-of-range row ids are safely false
-	f, _ := s.CompileFilter("vn", "=", []jsondom.Value{num("1")})
-	if f(-1) || f(99) {
-		t.Error("out-of-range row matched")
+	// row ids beyond the vector are safely false: within a chunk the
+	// selection is cleared past the vector's end, and a chunk wholly
+	// beyond it prunes and selects nothing
+	for _, c := range []struct {
+		col string
+		arg jsondom.Value
+	}{{"vn", num("1")}, {"vs", jsondom.String("apple")}} {
+		for _, op := range []string{"=", "!="} {
+			k, _ := s.CompileBatchFilter(c.col, op, []jsondom.Value{c.arg})
+			sel := NewBitmap(ChunkSize)
+			k.And(0, sel)
+			if next := sel.NextSet(4); next >= 0 {
+				t.Errorf("%s %s: row %d beyond the vector matched", c.col, op, next)
+			}
+			sel.Reset(ChunkSize)
+			k.And(7, sel)
+			if !k.Prune(7) || sel.Count() != 0 {
+				t.Errorf("%s %s: chunk beyond the vector: prune=%v selected=%d", c.col, op, k.Prune(7), sel.Count())
+			}
+		}
 	}
 }

@@ -194,8 +194,7 @@ func (b *vectorBuilder) build() *Vector {
 // chunk's matches into sel, where bit i is chunk-local row i (global
 // row chunk*ChunkSize+i) and sel.Len() is the number of rows the
 // caller is scanning in the chunk. Rows at or beyond the vector's
-// length never match, mirroring the row-at-a-time CompileFilter
-// contract.
+// length never match.
 type BatchKernel struct {
 	// Prune reports that the chunk cannot contain a matching row.
 	Prune func(chunk int) bool
@@ -205,10 +204,13 @@ type BatchKernel struct {
 
 // CompileBatchFilter builds a batch predicate kernel over a populated
 // column vector: op is one of = != < <= > >= between (between takes
-// two operands). It implements the engine's BatchFilterSource
-// contract; compilation declines (ok=false) exactly where the
-// row-at-a-time CompileFilter does — unknown column, unsupported op,
-// or operand/vector type mismatch — so the planner can fall back.
+// two operands). The kernel tests a chunk of row ids against the
+// vector without materializing the rows — the columnar predicate
+// evaluation that gives VC-IMC its edge over per-document navigation
+// (§5.2.1). It implements the engine's BatchFilterSource contract;
+// compilation declines (ok=false) on an unknown column, an unsupported
+// op or arity, or an operand/vector type mismatch, so the planner can
+// keep the conjunct as a row-level filter.
 func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (BatchKernel, bool) {
 	vec, ok := s.vector(col)
 	if !ok {

@@ -3,6 +3,7 @@ package imc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/jsondom"
@@ -207,10 +208,66 @@ func TestZoneMapsAndPrune(t *testing.T) {
 	}
 }
 
+// naiveMatch is the reference the kernels are checked against: the
+// predicate evaluated on one decoded value (Vector.Value, so it shares
+// neither the dictionary-code translation nor the float-interval
+// tightening with the kernel under test). ok=false mirrors the shapes
+// the compiler must decline.
+func naiveMatch(v jsondom.Value, isNumber bool, op string, operands []jsondom.Value) (match, ok bool) {
+	if want := map[string]int{"=": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1, "between": 2}[op]; want == 0 || want != len(operands) {
+		return false, false
+	}
+	null := v.Kind() == jsondom.KindNull
+	cmps := make([]int, len(operands)) // v ordered against operand i
+	for i, o := range operands {
+		if isNumber {
+			n, isNum := o.(jsondom.Number)
+			if !isNum {
+				return false, false
+			}
+			if !null {
+				switch a, b := v.(jsondom.Number).Float64(), n.Float64(); {
+				case a < b:
+					cmps[i] = -1
+				case a > b:
+					cmps[i] = 1
+				}
+			}
+		} else {
+			s, isStr := o.(jsondom.String)
+			if !isStr {
+				return false, false
+			}
+			if !null {
+				cmps[i] = strings.Compare(string(v.(jsondom.String)), string(s))
+			}
+		}
+	}
+	if null {
+		return false, true // NULL matches nothing, != included
+	}
+	switch op {
+	case "=":
+		return cmps[0] == 0, true
+	case "!=":
+		return cmps[0] != 0, true
+	case "<":
+		return cmps[0] < 0, true
+	case "<=":
+		return cmps[0] <= 0, true
+	case ">":
+		return cmps[0] > 0, true
+	case ">=":
+		return cmps[0] >= 0, true
+	default: // between
+		return cmps[0] >= 0 && cmps[1] <= 0, true
+	}
+}
+
 // TestBatchFilterDifferential cross-checks every batch kernel against
-// the row-at-a-time CompileFilter closure, bit for bit, over randomized
-// vectors with nulls — including operands absent from the dictionary,
-// reversed BETWEEN bounds, and chunks the kernels prune.
+// naiveMatch, bit for bit, over randomized vectors with nulls —
+// including operands absent from the dictionary, reversed BETWEEN
+// bounds, and chunks the kernels prune.
 func TestBatchFilterDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 2*ChunkSize + 613 // partial trailing chunk
@@ -233,15 +290,19 @@ func TestBatchFilterDifferential(t *testing.T) {
 
 	check := func(s *Store, op string, operands []jsondom.Value) {
 		t.Helper()
-		rowF, okRow := s.CompileFilter("v", op, operands)
+		vec, _ := s.Vector("v")
+		rowF := func(i int) bool {
+			m, _ := naiveMatch(vec.Value(i), vec.IsNumber, op, operands)
+			return m
+		}
+		_, okRow := naiveMatch(jsondom.Null{}, vec.IsNumber, op, operands)
 		kern, okBatch := s.CompileBatchFilter("v", op, operands)
 		if okRow != okBatch {
-			t.Fatalf("%s %v: row ok=%v batch ok=%v", op, operands, okRow, okBatch)
+			t.Fatalf("%s %v: reference ok=%v batch ok=%v", op, operands, okRow, okBatch)
 		}
 		if !okRow {
 			return
 		}
-		vec, _ := s.Vector("v")
 		chunks := (n + ChunkSize - 1) / ChunkSize
 		for chunk := 0; chunk < chunks+1; chunk++ {
 			lo := chunk * ChunkSize
@@ -275,7 +336,7 @@ func TestBatchFilterDifferential(t *testing.T) {
 			kern.And(chunk, sel)
 			for i := 0; i < rows; i++ {
 				if sel.Get(i) != rowF(lo+i) {
-					t.Fatalf("%s %v: row %d: batch=%v row=%v (val=%v)",
+					t.Fatalf("%s %v: row %d: batch=%v reference=%v (val=%v)",
 						op, operands, lo+i, sel.Get(i), rowF(lo+i), vec.Value(lo+i))
 				}
 			}
@@ -296,7 +357,7 @@ func TestBatchFilterDifferential(t *testing.T) {
 			jsondom.String(fmt.Sprintf("w%03d", rng.Intn(400)-50)),
 			jsondom.String(fmt.Sprintf("w%03d", rng.Intn(400)-50))})
 	}
-	// declines agree with the row path: type mismatches and unknown ops
+	// declines agree with the reference: type mismatches, unknown ops, wrong arity
 	check(sNum, "=", []jsondom.Value{jsondom.String("x")})
 	check(sStr, "=", []jsondom.Value{jsondom.NumberFromInt(1)})
 	check(sNum, "like", []jsondom.Value{jsondom.NumberFromInt(1)})

@@ -83,7 +83,7 @@ func (*SelectStmt) isStmt() {}
 
 // ExplainStmt is EXPLAIN [ANALYZE] <select>: it renders the operator
 // tree; with ANALYZE the query also runs and each line carries the
-// operator's row count, Next-call count, and cumulative wall time.
+// operator's row count, batch count, and cumulative wall time.
 type ExplainStmt struct {
 	Analyze bool
 	Query   *SelectStmt

@@ -1,12 +1,12 @@
 package sqlengine
 
-// Differential tests for the batch execution spine: every query must
-// return bit-for-bit identical rows under batch execution, row-at-a-time
-// execution, and (where applicable) parallel scans, across the grouped
-// aggregation fast path, the code-space hash-join fast path, sorting,
-// and LIMIT budget pushdown. Also covers the EXPLAIN ANALYZE fast-path
-// stat lines, the sql.batch.* / imc.dictprobe.* metrics, and prepared
-// statements whose cloned plans must keep their batch flags.
+// Tests for the code-space fast paths of the execution spine: the
+// EXPLAIN ANALYZE fast-path stat lines, the sql.batch.* /
+// imc.dictprobe.* metrics, and prepared statements whose cloned plans
+// must keep taking them. The differential query lists that used to
+// live here (aggregation, sort/LIMIT, joins, string self-joins) are
+// corpus cases now (testdata/corpus/spine.sql), checked against
+// digests frozen from the row-at-a-time reference.
 
 import (
 	"fmt"
@@ -34,10 +34,26 @@ func attachIMC(t *testing.T, e *Engine, table string, vcs ...string) {
 	e.AttachIMC(table, mem)
 }
 
-// newJoinEngine builds two IMC-backed tables for join fast-path tests:
-// orders (600 rows; vk = i mod 37, absent when i mod 11 == 0, so the
-// key vector carries NULLs) and custs (50 rows; vid 0..49, ids 37..49
-// match no order — probe-side misses).
+// joinOrders / joinCusts size the join fixture pair.
+const joinOrders, joinCusts = 600, 50
+
+// joinOrderDoc renders order i: k = i mod 37, absent when i mod 11 == 0,
+// so the key vector carries NULLs.
+func joinOrderDoc(i int) string {
+	if i%11 == 0 {
+		return fmt.Sprintf(`{"amt":%d,"tag":"g%02d"}`, i, i%5)
+	}
+	return fmt.Sprintf(`{"k":%d,"amt":%d,"tag":"g%02d"}`, i%37, i, i%5)
+}
+
+// joinCustDoc renders customer i: ids 37..49 match no order —
+// probe-side misses.
+func joinCustDoc(i int) string {
+	return fmt.Sprintf(`{"id":%d,"name":"c%02d"}`, i, i)
+}
+
+// newJoinEngine builds the two IMC-backed tables for join fast-path
+// tests, orders (joinOrderDoc) and custs (joinCustDoc), as JSON text.
 func newJoinEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
@@ -46,12 +62,8 @@ func newJoinEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 600; i++ {
-		doc := fmt.Sprintf(`{"k":%d,"amt":%d,"tag":"g%02d"}`, i%37, i, i%5)
-		if i%11 == 0 {
-			doc = fmt.Sprintf(`{"amt":%d,"tag":"g%02d"}`, i, i%5)
-		}
-		if _, err := ins.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(doc)); err != nil {
+	for i := 0; i < joinOrders; i++ {
+		if _, err := ins.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(joinOrderDoc(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,9 +72,8 @@ func newJoinEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		doc := fmt.Sprintf(`{"id":%d,"name":"c%02d"}`, i, i)
-		if _, err := insC.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(doc)); err != nil {
+	for i := 0; i < joinCusts; i++ {
+		if _, err := insC.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(joinCustDoc(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,144 +86,11 @@ func newJoinEngine(t *testing.T) *Engine {
 	return e
 }
 
-// batchExecModes is the planner matrix every differential query runs
-// under; the first entry (full batch execution) is the reference.
-type plannerMode struct {
-	label string
-	set   func(*PlannerOptions)
-}
-
-func batchExecModes() []plannerMode {
-	return []plannerMode{
-		{"batch-serial", func(p *PlannerOptions) { p.DisableParallelScan = true }},
-		{"row-serial", func(p *PlannerOptions) {
-			p.DisableParallelScan = true
-			p.DisableBatchExec = true
-		}},
-		{"row-serial-novec", func(p *PlannerOptions) {
-			p.DisableParallelScan = true
-			p.DisableBatchExec = true
-			p.DisableVectorizedScan = true
-			p.DisableVectorFilter = true
-			p.DisableVCRewrite = true
-		}},
-		{"batch-parallel", func(p *PlannerOptions) { p.ParallelMinRows = 1; p.ParallelDegree = 3 }},
-		{"row-parallel", func(p *PlannerOptions) {
-			p.ParallelMinRows = 1
-			p.ParallelDegree = 3
-			p.DisableBatchExec = true
-		}},
-	}
-}
-
-// runDifferential executes the query set under every planner mode and
-// requires identical result sets.
-func runDifferential(t *testing.T, e *Engine, queries []string) {
-	t.Helper()
-	modes := batchExecModes()
-	results := make([][]string, len(modes))
-	for mi, m := range modes {
-		e.Planner = PlannerOptions{}
-		m.set(&e.Planner)
-		for _, q := range queries {
-			r := mustExec(t, e, q)
-			results[mi] = append(results[mi], fmt.Sprint(r.Rows))
-		}
-	}
-	for mi := 1; mi < len(modes); mi++ {
-		for qi, q := range queries {
-			if results[0][qi] != results[mi][qi] {
-				t.Errorf("%s diverges from %s on %s:\n  %s\nvs\n  %s",
-					modes[mi].label, modes[0].label, q,
-					clip(results[mi][qi]), clip(results[0][qi]))
-			}
-		}
-	}
-}
-
 func clip(s string) string {
 	if len(s) > 400 {
 		return s[:400] + "…"
 	}
 	return s
-}
-
-// TestBatchAggDifferential: grouped aggregation over the batch spine —
-// the dict-code fast path (string key), the float-bits fast path
-// (numeric key with an all-null chunk), declined shapes that take the
-// generic batch build, and aggregate NULL semantics.
-func TestBatchAggDifferential(t *testing.T) {
-	e := newBatchEngine(t)
-	runDifferential(t, e, []string{
-		// dict-code key; aggregates over a vector with a 1024-row null stretch
-		`select vs, count(*), count(vn), sum(vn), avg(vn), min(vn), max(vn) from t group by vs order by vs`,
-		// string min/max resolved in code space (sorted dictionary)
-		`select vs, min(vs), max(vs) from t group by vs order by vs`,
-		// float-bits key: the NULL group collects the whole second chunk
-		`select vn, count(*) from t group by vn order by vn`,
-		// vector filter below the aggregation: bitmap-driven id iteration
-		`select vs, count(*) from t where vn between 100 and 2200 group by vs order by vs`,
-		// non-column group key declines the fast path -> generic batch build
-		`select mod(did, 3), count(*) from t group by mod(did, 3) order by mod(did, 3)`,
-		// non-vector aggregate argument declines the fast path
-		`select vs, sum(did) from t group by vs order by vs`,
-		// residual predicate the scan cannot decide pre-materialization
-		`select vs, count(*) from t where mod(did, 2) = 0 group by vs order by vs`,
-		// implicit group (no GROUP BY) stays on the generic path
-		`select count(*), sum(vn), min(vs) from t`,
-		// all-null input for an aggregate: sum/min/max yield NULL
-		`select vs, sum(vn) from t where vn is null group by vs order by vs`,
-	})
-}
-
-// TestBatchSortLimitDifferential: ORDER BY materialization through
-// batch pulls and the LIMIT budget threading into batch production.
-func TestBatchSortLimitDifferential(t *testing.T) {
-	e := newBatchEngine(t)
-	runDifferential(t, e, []string{
-		`select did, vn from t where vn between 50 and 2400 order by vn desc limit 25`,
-		`select vs, did from t order by vs, did limit 40`,
-		`select did from t order by did limit 7`,
-		// limit larger than the result
-		`select did from t where vn < 30 order by did limit 500`,
-		// limit 0
-		`select did from t order by did limit 0`,
-		// offset-free deep sort over all chunks
-		`select did from t order by vs desc, vn desc limit 10`,
-	})
-}
-
-// TestBatchJoinDifferential: the code-space hash join. Numeric keys
-// across two tables (probe misses on ids 37..49, NULL build keys on
-// every 11th order), inner and left-outer, with and without residuals.
-func TestBatchJoinDifferential(t *testing.T) {
-	e := newJoinEngine(t)
-	runDifferential(t, e, []string{
-		`select c.cid, o.oid from custs c join orders o on c.vid = o.vk order by c.cid, o.oid`,
-		`select c.cid, o.oid from custs c left join orders o on c.vid = o.vk order by c.cid, o.oid`,
-		// residual on the combined row
-		`select c.cid, o.oid from custs c join orders o on c.vid = o.vk and o.vamt > 300 order by c.cid, o.oid`,
-		`select c.cid, o.oid from custs c left join orders o on c.vid = o.vk and o.vamt > 400 order by c.cid, o.oid`,
-		// join output feeding aggregation and sort
-		`select c.cid, count(*) from custs c join orders o on c.vid = o.vk group by c.cid order by c.cid`,
-		// non-vector key (expression) declines the fast path
-		`select c.cid, o.oid from custs c join orders o on c.vid = mod(o.oid, 37) order by c.cid, o.oid limit 50`,
-	})
-}
-
-// TestBatchStringSelfJoinDifferential: string keys share one dictionary
-// only within a table, so the dict-code probe triggers on a self-join;
-// deleting every 'w003' row afterwards exercises deleted-row filtering
-// in id-only iteration on both sides.
-func TestBatchStringSelfJoinDifferential(t *testing.T) {
-	e := newBatchEngine(t)
-	queries := []string{
-		`select a.did, b.did from t a join t b on a.vs = b.vs and b.did < 15 where a.did < 6 order by a.did, b.did`,
-		`select a.vs, count(*) from t a join t b on a.vs = b.vs and b.did < 10 group by a.vs order by a.vs`,
-	}
-	runDifferential(t, e, queries)
-	mustExec(t, e, `delete from t where vs = 'w003'`)
-	runDifferential(t, e, queries)
 }
 
 // TestBatchExplainAnalyzeFastPaths asserts the fast paths actually
@@ -240,13 +118,6 @@ func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	if !strings.Contains(plan, "dictprobe: key=dict-codes") {
 		t.Errorf("string self-join did not probe in code space:\n%s", plan)
 	}
-
-	// the ablation flag really disables the spine
-	e.Planner.DisableBatchExec = true
-	plan = explainPlan(t, e, `explain analyze select vs, count(*) from t group by vs`)
-	if strings.Contains(plan, "agg-fast") {
-		t.Errorf("DisableBatchExec left the aggregation fast path on:\n%s", plan)
-	}
 }
 
 func explainPlan(t *testing.T, e *Engine, sql string) string {
@@ -267,7 +138,6 @@ func TestBatchExecMetrics(t *testing.T) {
 	e.Planner.DisableParallelScan = true
 	before := mustExec(t, e, `show metrics`)
 	batches0, _ := metricValue(t, before, "sql.batch.batches")
-	rows0, _ := metricValue(t, before, "sql.batch.rows")
 	agg0, _ := metricValue(t, before, "sql.batch.agg_rows")
 
 	r := mustExec(t, e, `select did from t where vn between 100 and 500`)
@@ -283,10 +153,6 @@ func TestBatchExecMetrics(t *testing.T) {
 	batches1, ok := metricValue(t, after, "sql.batch.batches")
 	if !ok || batches1 <= batches0 {
 		t.Errorf("sql.batch.batches did not advance: %d -> %d", batches0, batches1)
-	}
-	rows1, _ := metricValue(t, after, "sql.batch.rows")
-	if rows1 < rows0+401 {
-		t.Errorf("sql.batch.rows advanced only %d -> %d", rows0, rows1)
 	}
 	agg1, _ := metricValue(t, after, "sql.batch.agg_rows")
 	if agg1 < agg0+2600 {
@@ -310,9 +176,9 @@ func TestBatchExecMetrics(t *testing.T) {
 	}
 }
 
-// TestBatchExecPrepared: cloned plans from the plan cache keep their
-// batch flags, and bind parameters feeding the scan below a fast-path
-// aggregation are resolved at Open, per execution.
+// TestBatchExecPrepared: bind parameters feeding the scan below a
+// fast-path aggregation are resolved at Open, per execution, and plans
+// instantiated from the cache still take the fast path.
 func TestBatchExecPrepared(t *testing.T) {
 	e := newBatchEngine(t)
 	e.Planner.DisableParallelScan = true
@@ -320,23 +186,18 @@ func TestBatchExecPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(lo, hi int64) string {
-		r, err := ps.Run(jsondom.NumberFromInt(lo), jsondom.NumberFromInt(hi))
+	// same prepared plan, three bindings; each must land on the digest
+	// of the corpus case that spells the same bounds as literals
+	for _, c := range []struct {
+		lo, hi int64
+		corpus string
+	}{{0, 500, "agg_bound_0_500"}, {2048, 2599, "agg_bound_null_chunk_edge"}, {700, 600, "agg_bound_reversed"}} {
+		r, err := ps.Run(jsondom.NumberFromInt(c.lo), jsondom.NumberFromInt(c.hi))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(r.Rows)
-	}
-	// same prepared plan, three bindings; compare each against a fresh
-	// row-at-a-time execution of the same query
-	for _, c := range [][2]int64{{0, 500}, {2048, 2599}, {700, 600}} {
-		got := run(c[0], c[1])
-		e.Planner.DisableBatchExec = true
-		want := fmt.Sprint(mustExec(t, e,
-			fmt.Sprintf(`select vs, count(*) from t where vn between %d and %d group by vs order by vs`, c[0], c[1])).Rows)
-		e.Planner.DisableBatchExec = false
-		if got != want {
-			t.Errorf("prepared [%d,%d]: %s, want %s", c[0], c[1], clip(got), clip(want))
+		if rowsDigest(r.Rows) != corpusDigest(t, "spine.sql", c.corpus) {
+			t.Errorf("prepared [%d,%d] diverges from corpus case %s: %s", c.lo, c.hi, c.corpus, clip(fmt.Sprint(r.Rows)))
 		}
 	}
 

@@ -1,20 +1,26 @@
 package sqlengine
 
 // The enginetest-style query corpus: every query in testdata/corpus/
-// runs under three storage encodings (JSON text, BSON, OSON with an
-// attached IMC store) crossed with vectorized/row scans,
-// parallel/serial scans, and batch/row execution — 24 configurations
-// per query — and every configuration must return bit-for-bit the rows
-// of the reference configuration (text storage, fully row-at-a-time,
-// serial). The corpus files also carry expected row counts, refreshed
-// with:
+// carries its expected result — a row count and the sha256 of
+// fmt.Sprint(Result.Rows) — and runs under three storage encodings
+// (JSON text, BSON, OSON with an attached IMC store) crossed with
+// serial/parallel scans. Every configuration, and the reference engine
+// (text storage, no IMC, no vector kernels, no code-space paths,
+// serial), must reproduce the committed digest bit for bit. The digests
+// of the first 107 cases and of spine.sql were frozen at the commit
+// before the row-at-a-time operators were deleted, from that tree's
+// fully row-at-a-time reference, so the corpus is an oracle that does
+// not depend on the engine under test. New cases get theirs with:
 //
 //	go test ./internal/sqlengine -run TestQueryCorpus -update-corpus
 //
-// which additionally re-seeds the parser fuzz corpus from the query
-// texts.
+// which fills in the missing "-- rows:" / "-- sha256:" lines from the
+// reference engine (never rewriting an existing one: a committed digest
+// that no longer matches is a failure) and re-seeds the parser fuzz
+// corpus from the query texts.
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -32,18 +38,34 @@ import (
 )
 
 var updateCorpus = flag.Bool("update-corpus", false,
-	"rewrite corpus expected row counts from the reference configuration and re-seed the parser fuzz corpus")
+	"fill in the rows/sha256 lines of new corpus cases from the reference engine and re-seed the parser fuzz corpus")
 
 type corpusCase struct {
 	file string
 	name string
-	rows int
+	rows int    // -1: no "-- rows:" line yet
+	sha  string // "": no "-- sha256:" line yet
 	sql  string
 }
 
+// rowsDigest is the corpus oracle's fingerprint of a result: the
+// sha256 of fmt.Sprint(rows), hex-encoded.
+func rowsDigest(rows [][]jsondom.Value) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(rows))))
+}
+
+// corpusHeader matches one "-- key: value" header line of a case.
+func corpusHeader(trimmed, key string) (string, bool) {
+	prefix := "-- " + key + ":"
+	if !strings.HasPrefix(trimmed, prefix) {
+		return "", false
+	}
+	return strings.TrimSpace(trimmed[len(prefix):]), true
+}
+
 // loadCorpus parses every testdata/corpus/*.sql file: "-- case:" opens
-// a case, "-- rows:" carries its expected count, and the following
-// statement runs through the first ";".
+// a case, "-- rows:" and "-- sha256:" carry its expected result, and
+// the following statement runs through the first ";".
 func loadCorpus(t *testing.T) []corpusCase {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.sql"))
@@ -61,35 +83,56 @@ func loadCorpus(t *testing.T) []corpusCase {
 		var stmt strings.Builder
 		for _, line := range strings.Split(string(data), "\n") {
 			trimmed := strings.TrimSpace(line)
-			switch {
-			case strings.HasPrefix(trimmed, "-- case:"):
-				cases = append(cases, corpusCase{file: f, name: strings.TrimSpace(trimmed[len("-- case:"):]), rows: -1})
+			if name, ok := corpusHeader(trimmed, "case"); ok {
+				cases = append(cases, corpusCase{file: f, name: name, rows: -1})
 				cur = &cases[len(cases)-1]
 				stmt.Reset()
-			case strings.HasPrefix(trimmed, "-- rows:"):
-				if cur == nil {
-					t.Fatalf("%s: -- rows: outside a case", f)
-				}
-				n, err := strconv.Atoi(strings.TrimSpace(trimmed[len("-- rows:"):]))
-				if err != nil {
+				continue
+			}
+			if v, ok := corpusHeader(trimmed, "rows"); ok {
+				n, err := strconv.Atoi(v)
+				if cur == nil || err != nil {
 					t.Fatalf("%s: bad rows line %q", f, trimmed)
 				}
 				cur.rows = n
-			case trimmed == "" || strings.HasPrefix(trimmed, "--"):
-			default:
-				if cur == nil || cur.sql != "" {
-					t.Fatalf("%s: statement outside a case: %q", f, trimmed)
+				continue
+			}
+			if v, ok := corpusHeader(trimmed, "sha256"); ok {
+				if cur == nil || len(v) != 2*sha256.Size {
+					t.Fatalf("%s: bad sha256 line %q", f, trimmed)
 				}
-				stmt.WriteString(line)
-				if strings.HasSuffix(trimmed, ";") {
-					cur.sql = strings.TrimSuffix(strings.TrimSpace(stmt.String()), ";")
-				} else {
-					stmt.WriteByte('\n')
-				}
+				cur.sha = v
+				continue
+			}
+			if trimmed == "" || strings.HasPrefix(trimmed, "--") {
+				continue
+			}
+			if cur == nil || cur.sql != "" {
+				t.Fatalf("%s: statement outside a case: %q", f, trimmed)
+			}
+			stmt.WriteString(line)
+			if strings.HasSuffix(trimmed, ";") {
+				cur.sql = strings.TrimSuffix(strings.TrimSpace(stmt.String()), ";")
+			} else {
+				stmt.WriteByte('\n')
 			}
 		}
 	}
 	return cases
+}
+
+// corpusDigest returns the committed digest of one corpus case, for
+// tests that run a variant of the case (a prepared statement, a cached
+// plan) and must land on the same rows.
+func corpusDigest(t *testing.T, file, name string) string {
+	t.Helper()
+	for _, c := range loadCorpus(t) {
+		if filepath.Base(c.file) == file && c.name == name {
+			return c.sha
+		}
+	}
+	t.Fatalf("no corpus case %s/%s", file, name)
+	return ""
 }
 
 // corpusStorageModes are the three document encodings of the corpus
@@ -122,9 +165,17 @@ func corpusLookupDoc(j int) string {
 	return fmt.Sprintf(`{"k":"s%02d","w":%d}`, j, j*10)
 }
 
-const corpusDocs, corpusLookups = 1400, 30
+// corpusDocs / corpusLookups size d and lk. corpusDeletedDocs sizes td,
+// a two-chunk copy of t's data with its 'w003' rows deleted. td gets no
+// IMC store: DML detaches one anyway, and populating a store over
+// tombstones misaligns its vectors (imc.PopulateVC appends live rows
+// densely — ROADMAP item 2), so every mode scans td's tombstones on the
+// row store.
+const corpusDocs, corpusLookups, corpusDeletedDocs = 1400, 30, 1100
 
-// newCorpusEngine builds the two corpus tables under one storage mode,
+// newCorpusEngine builds the corpus tables under one storage mode —
+// d and lk, plus the fixtures of the batch-spine tests: t (batchDoc:
+// three chunks, one all-null), td, orders and custs (the join pair) —
 // creates the shared virtual columns, and attaches IMC stores in the
 // oson-imc mode.
 func newCorpusEngine(t *testing.T, mode string) *Engine {
@@ -134,8 +185,6 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 	if mode != "text" {
 		colType = "raw(0)"
 	}
-	mustExec(t, e, fmt.Sprintf(`create table d (did number primary key, jdoc %s)`, colType))
-	mustExec(t, e, fmt.Sprintf(`create table lk (lid number primary key, jdoc %s)`, colType))
 	encode := func(doc string) jsondom.Value {
 		switch mode {
 		case "text":
@@ -154,7 +203,8 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 			return jsondom.Binary(b)
 		}
 	}
-	fill := func(table string, n int, doc func(int) string) {
+	fill := func(table, key string, n int, doc func(int) string) {
+		mustExec(t, e, fmt.Sprintf(`create table %s (%s number primary key, jdoc %s)`, table, key, colType))
 		tab, _ := e.Catalog().Table(table)
 		for i := 0; i < n; i++ {
 			if _, err := tab.Insert(store.Row{jsondom.NumberFromInt(int64(i)), encode(doc(i))}); err != nil {
@@ -162,8 +212,12 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 			}
 		}
 	}
-	fill("d", corpusDocs, corpusDoc)
-	fill("lk", corpusLookups, corpusLookupDoc)
+	fill("d", "did", corpusDocs, corpusDoc)
+	fill("lk", "lid", corpusLookups, corpusLookupDoc)
+	fill("t", "did", batchDocs, batchDoc)
+	fill("td", "did", corpusDeletedDocs, batchDoc)
+	fill("orders", "oid", joinOrders, joinOrderDoc)
+	fill("custs", "cid", joinCusts, joinCustDoc)
 	mustExec(t, e, `alter table d add virtual column vn as json_value(jdoc, '$.n' returning number)`)
 	mustExec(t, e, `alter table d add virtual column vs as json_value(jdoc, '$.s')`)
 	mustExec(t, e, `alter table d add virtual column vg as json_value(jdoc, '$.g')`)
@@ -171,68 +225,76 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 	mustExec(t, e, `alter table d add virtual column vcity as json_value(jdoc, '$.addr.city')`)
 	mustExec(t, e, `alter table lk add virtual column vk as json_value(jdoc, '$.k')`)
 	mustExec(t, e, `alter table lk add virtual column vw as json_value(jdoc, '$.w' returning number)`)
+	for _, tab := range []string{"t", "td"} {
+		mustExec(t, e, `alter table `+tab+` add virtual column vn as json_value(jdoc, '$.n' returning number)`)
+		mustExec(t, e, `alter table `+tab+` add virtual column vs as json_value(jdoc, '$.s')`)
+	}
+	mustExec(t, e, `delete from td where vs = 'w003'`)
+	mustExec(t, e, `alter table orders add virtual column vk as json_value(jdoc, '$.k' returning number)`)
+	mustExec(t, e, `alter table orders add virtual column vamt as json_value(jdoc, '$.amt' returning number)`)
+	mustExec(t, e, `alter table custs add virtual column vid as json_value(jdoc, '$.id' returning number)`)
+	mustExec(t, e, `alter table custs add virtual column vname as json_value(jdoc, '$.name')`)
 	if mode == "oson-imc" {
 		attachIMC(t, e, "d", "vn", "vs", "vg", "vprice", "vcity")
 		attachIMC(t, e, "lk", "vk", "vw")
+		attachIMC(t, e, "t", "vn", "vs")
+		attachIMC(t, e, "orders", "vk", "vamt")
+		attachIMC(t, e, "custs", "vid", "vname")
 	}
 	return e
 }
 
-// corpusConfigs is the execution matrix: vectorized/row IMC scans,
-// serial/parallel scans, batch/row execution.
-func corpusConfigs() []plannerMode {
-	var out []plannerMode
-	for _, vec := range []bool{true, false} {
-		for _, par := range []bool{false, true} {
-			for _, batch := range []bool{true, false} {
-				vec, par, batch := vec, par, batch
-				label := fmt.Sprintf("vec=%t/par=%t/batch=%t", vec, par, batch)
-				out = append(out, plannerMode{label, func(p *PlannerOptions) {
-					if !vec {
-						p.DisableVectorizedScan = true
-					}
-					if par {
-						p.ParallelMinRows = 1
-						p.ParallelDegree = 3
-					} else {
-						p.DisableParallelScan = true
-					}
-					if !batch {
-						p.DisableBatchExec = true
-					}
-				}})
-			}
-		}
-	}
-	return out
+// plannerMode is one named PlannerOptions setting of a test matrix.
+type plannerMode struct {
+	label string
+	set   func(*PlannerOptions)
 }
 
-// TestQueryCorpus runs the whole corpus through the full storage ×
-// planner matrix and requires bit-for-bit agreement with the reference
-// configuration plus the committed row counts.
+// corpusConfigs is the execution matrix: the two scan shapes the
+// planner can still choose between.
+func corpusConfigs() []plannerMode {
+	return []plannerMode{
+		{"serial", func(p *PlannerOptions) { p.DisableParallelScan = true }},
+		{"parallel", func(p *PlannerOptions) { p.ParallelMinRows = 1; p.ParallelDegree = 3 }},
+	}
+}
+
+// corpusReferenceOptions configures the reference engine: with text
+// storage and these options no IMC store, vector kernel, code-space
+// path or scan fleet takes part in the answer.
+func corpusReferenceOptions() PlannerOptions {
+	return PlannerOptions{DisableVectorFilter: true, DisableVCRewrite: true, DisableParallelScan: true}
+}
+
+// TestQueryCorpus runs the whole corpus through the reference engine
+// and the full storage × planner matrix and requires every one of them
+// to reproduce the committed row counts and digests.
 func TestQueryCorpus(t *testing.T) {
 	cases := loadCorpus(t)
 	if len(cases)*len(corpusStorageModes) < 200 {
 		t.Fatalf("corpus too small: %d queries x %d storage modes < 200 cases",
 			len(cases), len(corpusStorageModes))
 	}
-	configs := corpusConfigs()
 
-	// reference: text storage, serial, fully row-at-a-time
 	ref := make([]string, len(cases))
 	refEng := newCorpusEngine(t, "text")
-	refEng.Planner = PlannerOptions{
-		DisableVectorizedScan: true, DisableVectorFilter: true,
-		DisableVCRewrite: true, DisableParallelScan: true, DisableBatchExec: true,
-	}
-	for ci, c := range cases {
+	refEng.Planner = corpusReferenceOptions()
+	for ci := range cases {
+		c := &cases[ci]
 		r := mustExec(t, refEng, c.sql)
 		ref[ci] = fmt.Sprint(r.Rows)
+		got := rowsDigest(r.Rows)
 		if *updateCorpus {
-			cases[ci].rows = len(r.Rows)
-		} else if c.rows >= 0 && len(r.Rows) != c.rows {
-			t.Errorf("%s/%s: reference returned %d rows, corpus expects %d",
-				filepath.Base(c.file), c.name, len(r.Rows), c.rows)
+			if c.rows < 0 {
+				c.rows = len(r.Rows)
+			}
+			if c.sha == "" {
+				c.sha = got
+			}
+		}
+		if c.rows != len(r.Rows) || c.sha != got {
+			t.Errorf("%s/%s: reference returned %d rows (sha256 %s), corpus expects %d (sha256 %q)",
+				filepath.Base(c.file), c.name, len(r.Rows), got, c.rows, c.sha)
 		}
 	}
 	if *updateCorpus {
@@ -243,7 +305,7 @@ func TestQueryCorpus(t *testing.T) {
 
 	for _, mode := range corpusStorageModes {
 		e := newCorpusEngine(t, mode)
-		for _, cfg := range configs {
+		for _, cfg := range corpusConfigs() {
 			e.Planner = PlannerOptions{}
 			cfg.set(&e.Planner)
 			for ci, c := range cases {
@@ -251,17 +313,18 @@ func TestQueryCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s/%s: %v", mode, cfg.label, filepath.Base(c.file), c.name, err)
 				}
-				if got := fmt.Sprint(r.Rows); got != ref[ci] {
-					t.Errorf("%s %s %s/%s diverges from reference:\n  got  %s\n  want %s",
-						mode, cfg.label, filepath.Base(c.file), c.name, clip(got), clip(ref[ci]))
+				if rowsDigest(r.Rows) != c.sha {
+					t.Errorf("%s %s %s/%s diverges from the corpus digest:\n  got  %s\n  reference %s",
+						mode, cfg.label, filepath.Base(c.file), c.name, clip(fmt.Sprint(r.Rows)), clip(ref[ci]))
 				}
 			}
 		}
 	}
 }
 
-// writeCorpusUpdates rewrites the "-- rows:" line of every case in
-// place from the freshly computed reference counts.
+// writeCorpusUpdates inserts the "-- rows:" and "-- sha256:" lines a
+// case does not have yet, right under its "-- case:" line (the digest
+// after the row count); lines already present are left alone.
 func writeCorpusUpdates(t *testing.T, cases []corpusCase) {
 	t.Helper()
 	byFile := map[string][]corpusCase{}
@@ -273,22 +336,45 @@ func writeCorpusUpdates(t *testing.T, cases []corpusCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(string(data), "\n")
-		idx := 0
-		for li, line := range lines {
-			if !strings.HasPrefix(strings.TrimSpace(line), "-- rows:") {
-				continue
+		var out []string
+		idx := -1
+		var hasRows, hasSha bool
+		// flush adds what the case just left behind was missing
+		flush := func() {
+			if idx < 0 {
+				return
 			}
-			if idx >= len(cs) {
-				t.Fatalf("%s: more -- rows: lines than cases", file)
+			if !hasRows {
+				out = append(out, fmt.Sprintf("-- rows: %d", cs[idx].rows))
 			}
-			lines[li] = fmt.Sprintf("-- rows: %d", cs[idx].rows)
-			idx++
+			if !hasSha {
+				out = append(out, "-- sha256: "+cs[idx].sha)
+			}
+			hasRows, hasSha = true, true
 		}
-		if idx != len(cs) {
-			t.Fatalf("%s: %d cases but %d -- rows: lines (every case needs one)", file, len(cs), idx)
+		for _, line := range strings.Split(string(data), "\n") {
+			trimmed := strings.TrimSpace(line)
+			_, isCase := corpusHeader(trimmed, "case")
+			_, isRows := corpusHeader(trimmed, "rows")
+			_, isSha := corpusHeader(trimmed, "sha256")
+			switch {
+			case isCase:
+				idx++
+				hasRows, hasSha = false, false
+			case isRows:
+				hasRows = true
+			case isSha:
+				hasSha = true
+			default:
+				// the header block of the current case ends here
+				flush()
+			}
+			out = append(out, line)
 		}
-		if err := os.WriteFile(file, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		if idx != len(cs)-1 {
+			t.Fatalf("%s: %d cases parsed but %d -- case: lines", file, len(cs), idx+1)
+		}
+		if err := os.WriteFile(file, []byte(strings.Join(out, "\n")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

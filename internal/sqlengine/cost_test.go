@@ -164,10 +164,9 @@ func TestConjunctOrderingBySelectivity(t *testing.T) {
 // the true count (dictionary equality: 1400/23 ~ 61).
 func TestExplainEstRowsAccuracy(t *testing.T) {
 	e := newCorpusEngine(t, "oson-imc")
-	// keep a plain Filter over TableScan: no vectorized scan, no
-	// pushed row-at-a-time vector filters, and no parallel scan
-	// absorbing the filter on a multi-core machine
-	e.Planner.DisableVectorizedScan = true
+	// keep a plain Filter over TableScan: no vector kernels pushed into
+	// the scan, and no parallel scan absorbing the filter on a
+	// multi-core machine
 	e.Planner.DisableVectorFilter = true
 	e.Planner.DisableParallelScan = true
 	r := mustExec(t, e, `explain select did from d where vs = 's07' and vn >= 0`)
@@ -227,8 +226,9 @@ func parseEstRows(line string) (int64, bool) {
 // visibly in EXPLAIN — and return exactly the heuristic plan's rows.
 func TestJoinBuildSide(t *testing.T) {
 	const q = `select l.lid, a.did from lk l join d a on l.vk = a.vs where a.did < 200 order by l.lid, a.did`
+	// lk.vk and d.vs are string vectors of different tables (no shared
+	// dictionary), so the generic hash join runs, not the code-space one
 	e := newCorpusEngine(t, "oson-imc")
-	e.Planner.DisableBatchExec = true // keep the generic hash join, not the code-space fast path
 
 	r := mustExec(t, e, `explain `+q)
 	plan := ""

@@ -65,13 +65,9 @@ type PlannerOptions struct {
 	// JSON_EXISTS predicates.
 	DisableIndexScan bool
 	// DisableVectorFilter turns off columnar predicate pushdown over
-	// in-memory vectors (§5.2.1).
+	// in-memory vectors (§5.2.1): no chunk kernels, selection bitmaps or
+	// zone-map pruning, every conjunct a row-level filter.
 	DisableVectorFilter bool
-	// DisableVectorizedScan keeps vector predicates on the row-at-a-time
-	// closure path instead of the batch pipeline (chunk kernels +
-	// selection bitmaps + zone-map pruning) — the ablation switch for
-	// measuring what batching itself buys.
-	DisableVectorizedScan bool
 	// DisableParallelScan turns off parallel partitioned scans (serial
 	// tableScan + filter instead of parallelScanOp).
 	DisableParallelScan bool
@@ -81,12 +77,6 @@ type PlannerOptions struct {
 	// ParallelMinRows is the minimum table size for a parallel scan;
 	// <= 0 means the built-in default (defaultParallelMinRows).
 	ParallelMinRows int
-	// DisableBatchExec keeps operators above the scan on row-at-a-time
-	// Next pulls instead of the batch spine (pooled batches flowing up
-	// the plan, code-space aggregation and join probing) — the ablation
-	// switch for measuring what batch execution buys beyond the
-	// vectorized scan itself.
-	DisableBatchExec bool
 	// MemoryBudget caps the bytes pipeline-breaking operators (sort,
 	// hash-join build, group-by, window, cross-join) may buffer per
 	// query; <= 0 disables the accountant.
@@ -664,43 +654,24 @@ func (e *Engine) runPlan(ctx context.Context, plan *preparedPlan, params []jsond
 }
 
 // drainSource opens src, materializes every row, and closes it,
-// timing the execute phase and recording the row count on tr.
+// timing the execute phase and recording the row count on tr. It is
+// the engine's single batch-to-row adapter: Query, prepared statements
+// and EXPLAIN ANALYZE all execute a plan through this loop. The rows
+// inside a batch are arena-carved and safe to retain in the Result;
+// only the batch headers cycle through the pool.
 func (e *Engine) drainSource(ctx context.Context, src rowSource, names []string, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
 	ec := newExecCtx(ctx, e.Planner.MemoryBudget)
 	ec.collect = collect
 	execDone := tr.StartPhase("execute")
 	if err := src.Open(ec); err != nil {
 		// a mid-tree Open failure can leave earlier-opened subtrees
-		// running (parallel scan or probe workers already spawned);
-		// closing the whole tree joins them instead of leaking them
+		// running (parallel scan workers already spawned); closing the
+		// whole tree joins them instead of leaking them
 		src.Close() //nolint:errcheck // surfacing the Open error
 		return nil, src, ec.queryID, err
 	}
 	defer src.Close() //nolint:errcheck
 	res := &Result{Columns: names}
-	// batch drain: pull whole batches from a batch-ready root. The rows
-	// inside are arena-carved and safe to retain in the Result; only the
-	// batch headers cycle through the pool.
-	if b := batchInput(src); b != nil {
-		ticks := 0
-		for {
-			if err := ec.tickErr(&ticks); err != nil {
-				return nil, src, ec.queryID, err
-			}
-			batch, err := b.NextBatch(ec, 0)
-			if err != nil {
-				return nil, src, ec.queryID, err
-			}
-			if batch == nil {
-				execDone()
-				tr.Notef("rows=%d", len(res.Rows))
-				return res, src, ec.queryID, nil
-			}
-			for i := 0; i < batch.Len(); i++ {
-				res.Rows = append(res.Rows, batch.Row(i))
-			}
-		}
-	}
 	ticks := 0
 	for {
 		// defense in depth: the source's own scan/build loops tick, but
@@ -708,16 +679,18 @@ func (e *Engine) drainSource(ctx context.Context, src rowSource, names []string,
 		if err := ec.tickErr(&ticks); err != nil {
 			return nil, src, ec.queryID, err
 		}
-		row, ok, err := src.Next(ec)
+		batch, err := src.NextBatch(ec, 0)
 		if err != nil {
 			return nil, src, ec.queryID, err
 		}
-		if !ok {
+		if batch == nil {
 			execDone()
 			tr.Notef("rows=%d", len(res.Rows))
 			return res, src, ec.queryID, nil
 		}
-		res.Rows = append(res.Rows, row)
+		for i := 0; i < batch.Len(); i++ {
+			res.Rows = append(res.Rows, batch.Row(i))
+		}
 	}
 }
 
@@ -920,54 +893,14 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	// DisableCostBasedPlanner)
 	cc.annotateEstimates(src)
 
-	// 12. batch execution: flag every batch-capable operator so pooled
-	// row batches flow up the plan (and the code-space fast paths may
-	// engage). A plan-time property — the plan cache keys on the
-	// planner-option snapshot, so cached plans never leak the flag
-	// across option changes.
-	if !e.Planner.DisableBatchExec {
-		enableBatchExec(src)
-	}
 	return src, names, nil
-}
-
-// enableBatchExec walks a finished plan tree and turns on batch
-// delivery for every operator that supports it. Idempotent, so nested
-// planning (views, subqueries) flagging a subtree twice is harmless.
-func enableBatchExec(src rowSource) {
-	switch t := src.(type) {
-	case *tableScan:
-		t.batchOut = true
-	case *parallelScanOp:
-		t.template.batchOut = true
-	case *filterOp:
-		t.batch = true
-	case *projectOp:
-		t.batch = true
-	case *limitOp:
-		t.batch = true
-	case *sortOp:
-		t.batch = true
-	case *windowOp:
-		t.batch = true
-	case *groupAggOp:
-		t.batch = true
-	case *hashJoin:
-		t.batch = true
-	case *jsonTableOp:
-		t.batch = true
-	}
-	if n, ok := src.(opNode); ok {
-		for _, c := range n.opChildren() {
-			enableBatchExec(c)
-		}
-	}
 }
 
 // tryVectorizedScan handles the single-table case with an attached
 // vector-filter source: WHERE conjuncts over vector-backed columns
-// compile to per-row vector predicates applied before row
-// materialization; the remaining conjuncts are returned as the
+// compile to chunk kernels applied before row materialization —
+// constant predicates at plan time, bind-dependent ones at the scan's
+// Open; the conjuncts the compiler declines are returned as the
 // residual filter.
 func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, referenced map[string]bool, hasStar bool) (rowSource, Expr, bool) {
 	if len(stmt.From) != 1 || where == nil {
@@ -983,19 +916,12 @@ func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, r
 		return nil, nil, false
 	}
 	sub := e.imcSource(name)
-	vfs, ok := sub.(VectorFilterSource)
+	bfs, ok := sub.(BatchFilterSource)
 	if !ok {
 		return nil, nil, false
 	}
-	// batch pipeline: constant predicates compile to chunk kernels at
-	// plan time; bind-dependent specs batch-compile at Open. Shapes the
-	// batch compiler declines fall back to per-row closures, then to
-	// the residual filter — same ladder as the row path.
-	bfs, _ := sub.(BatchFilterSource)
-	useBatch := bfs != nil && !e.Planner.DisableVectorizedScan
 	var kernels []imc.BatchKernel
 	var kernelLabels []string
-	var filters []func(int) bool
 	var specs []vecFilterSpec
 	var residual Expr
 	for _, c := range splitAnd(where) {
@@ -1007,22 +933,16 @@ func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, r
 				continue
 			}
 			if vals, ok := spec.operandValues(nil); ok {
-				if useBatch {
-					if k, ok := bfs.CompileBatchFilter(spec.col, spec.op, vals); ok {
-						kernels = append(kernels, k)
-						kernelLabels = append(kernelLabels, spec.col+" "+spec.op)
-						continue
-					}
-				}
-				if f, ok := vfs.CompileFilter(spec.col, spec.op, vals); ok {
-					filters = append(filters, f)
+				if k, ok := bfs.CompileBatchFilter(spec.col, spec.op, vals); ok {
+					kernels = append(kernels, k)
+					kernelLabels = append(kernelLabels, spec.col+" "+spec.op)
 					continue
 				}
 			}
 		}
 		residual = andExpr(residual, c)
 	}
-	if len(kernels)+len(filters)+len(specs) == 0 {
+	if len(kernels)+len(specs) == 0 {
 		return nil, nil, false
 	}
 	alias := tr.Alias
@@ -1034,14 +954,10 @@ func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, r
 		needed[c.Name] = referenced[c.Name] || (hasStar && !c.Hidden)
 	}
 	scan := newTableScan(tab, alias, needed, sub, 0, env)
-	scan.vecFilters = filters
 	scan.vecSpecs = specs
-	if useBatch {
-		scan.batchMode = true
-		scan.batchKernels = kernels
-		scan.batchLabels = kernelLabels
-		scan.bsrc = bfs
-	}
+	scan.batchKernels = kernels
+	scan.batchLabels = kernelLabels
+	scan.bsrc = bfs
 	return scan, residual, true
 }
 

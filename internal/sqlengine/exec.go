@@ -1,9 +1,10 @@
-// Row-source executor: the Open/Next/Close iterator model of the row
-// source API the paper cites for JSON_TABLE ([9], §5.1), used here for
-// every operator.
+// Row-source executor: the Open/NextBatch/Close iterator model — the row
+// source API the paper cites for JSON_TABLE ([9], §5.1), pulled a
+// pooled batch at a time (exec_batch.go) — used here for every
+// operator.
 //
-// Every operator receives the query's *ExecCtx in Open and Next: the
-// context carries cooperative cancellation (checked every
+// Every operator receives the query's *ExecCtx in Open and NextBatch:
+// the context carries cooperative cancellation (checked every
 // cancelCheckInterval rows in scans and pipeline-breaker build loops),
 // the per-operator stats sinks EXPLAIN ANALYZE renders, and the memory
 // accountant pipeline breakers charge for materialized rows.
@@ -29,9 +30,14 @@ import (
 	"repro/internal/store"
 )
 
+// rowSource is the one operator contract. NextBatch returns nil at end
+// of input and otherwise a non-empty batch that stays valid until the
+// producer's next NextBatch or Close call (the rows inside stay valid
+// for good). max > 0 is the consumer's remaining-row budget — see
+// exec_batch.go.
 type rowSource interface {
 	Open(*ExecCtx) error
-	Next(*ExecCtx) ([]jsondom.Value, bool, error)
+	NextBatch(ec *ExecCtx, max int) (*Batch, error)
 	Close() error
 	Schema() Schema
 }
@@ -94,28 +100,18 @@ type InMemorySource interface {
 	Substitute(rowID int, col string) (jsondom.Value, bool)
 }
 
-// VectorFilterSource is an optional InMemorySource extension: it
+// BatchFilterSource is an optional InMemorySource extension: it
 // compiles simple comparison predicates over in-memory column vectors
-// so the scan can skip non-matching rows before materializing them —
-// the columnar predicate evaluation of §5.2.1.
-type VectorFilterSource interface {
-	InMemorySource
-	// CompileFilter returns a per-row predicate for (col op operands),
-	// ok=false when the column has no vector or the shape is
-	// unsupported. op is one of = != < <= > >= between.
-	CompileFilter(col, op string, operands []jsondom.Value) (func(rowID int) bool, bool)
-}
-
-// BatchFilterSource is the batch-at-a-time extension of
-// VectorFilterSource: predicates compile to chunk kernels that fill a
-// selection bitmap over imc.ChunkSize rows at once, with per-chunk
-// zone-map pruning. A source implementing it switches the scan from
-// per-row closure calls to the vectorized batch loop; CompileFilter
-// remains the fallback for shapes the batch compiler declines.
+// to chunk kernels that fill a selection bitmap over imc.ChunkSize rows
+// at once, with per-chunk zone-map pruning, so the scan skips
+// non-matching rows before materializing them — the columnar predicate
+// evaluation of §5.2.1.
 type BatchFilterSource interface {
-	VectorFilterSource
-	// CompileBatchFilter returns a chunk kernel for (col op operands);
-	// ok=false declines exactly where CompileFilter does.
+	InMemorySource
+	// CompileBatchFilter returns a chunk kernel for (col op operands),
+	// ok=false when the column has no vector or the shape is
+	// unsupported (the conjunct then stays a row-level residual). op is
+	// one of = != < <= > >= between.
 	CompileBatchFilter(col, op string, operands []jsondom.Value) (imc.BatchKernel, bool)
 }
 
@@ -164,21 +160,16 @@ type tableScan struct {
 	needVC []bool
 	cols   []store.Column
 	sub    InMemorySource // IMC substitution, may be nil
-	// vecFilters are compiled columnar predicates; rows failing any of
-	// them are skipped before materialization (§5.2.1). They close only
-	// over immutable vector data, so a cached plan shares them across
-	// executions and parallel workers.
-	vecFilters []func(rowID int) bool
-	// vecSpecs are parameter-dependent vector predicates, compiled at
-	// Open with the execution's bind values.
-	vecSpecs []vecFilterSpec
-	// batchMode switches the scan to chunk-at-a-time iteration:
-	// batchKernels (plan-time compiled constant predicates) plus any
-	// vecSpecs that batch-compile at Open fill a selection bitmap per
-	// imc.ChunkSize chunk, with zone-map-pruned chunks skipped whole.
-	// bsrc is the batch compiler (the same object as sub); batchLabels
-	// name the plan-time kernels ("col op") for EXPLAIN ANALYZE.
-	batchMode    bool
+	// Vector predicates (§5.2.1), present exactly when bsrc is non-nil:
+	// batchKernels (constant predicates compiled at plan time; they close
+	// only over immutable vector data, so a cached plan shares them
+	// across executions and parallel workers) plus any vecSpecs
+	// (parameter-dependent predicates) that compile at Open with the
+	// execution's bind values fill a selection bitmap per imc.ChunkSize
+	// chunk, with zone-map-pruned chunks skipped whole. bsrc is the
+	// kernel compiler (the same object as sub); batchLabels name the
+	// plan-time kernels ("col op") for EXPLAIN ANALYZE.
+	vecSpecs     []vecFilterSpec
 	batchKernels []imc.BatchKernel
 	batchLabels  []string
 	bsrc         BatchFilterSource
@@ -201,16 +192,17 @@ type tableScan struct {
 	rows  []store.Row
 	tombs []bool
 
-	rowIDs       []int // resolved by Open from rowIDsFn
-	idPos        int
-	vecRuntime   []func(rowID int) bool // vecSpecs compiled by Open
+	rowIDs []int // resolved by Open from rowIDsFn
+	idPos  int
+	// fallbackPred collects the vecSpecs whose kernel compile declined
+	// at Open; it is evaluated per materialized row.
 	fallbackPred Expr
 	fallbackCtx  *evalCtx
 
-	// batch iteration state (set up by Open when batchMode):
-	// batchActive is true once at least one kernel compiled; batchRun
-	// is the execution's kernel list (plan-time + Open-compiled), sel
-	// the reusable per-chunk selection bitmap.
+	// kernel iteration state (set up by Open): batchActive is true once
+	// at least one kernel is in play; batchRun is the execution's kernel
+	// list (plan-time + Open-compiled), sel the reusable per-chunk
+	// selection bitmap.
 	batchActive bool
 	batchRun    []imc.BatchKernel
 	runLabels   []string
@@ -233,13 +225,10 @@ type tableScan struct {
 	rowsOut int64
 	st      *OpStats
 
-	// batchOut switches the scan's parent-facing contract to batch
-	// delivery (NextBatch); orthogonal to batchMode, which gates the
-	// kernel-driven chunk iteration. arena carves the output rows, out
-	// is the pooled batch recycled on the next NextBatch call.
-	batchOut bool
-	arena    rowArena
-	out      *Batch
+	// arena carves the output rows; out is the pooled batch on loan to
+	// the consumer, recycled on the next NextBatch call.
+	arena rowArena
+	out   *Batch
 }
 
 func newTableScan(tab *store.Table, alias string, needed map[string]bool, sub InMemorySource, samplePct float64, env *planEnv) *tableScan {
@@ -253,15 +242,13 @@ func newTableScan(tab *store.Table, alias string, needed map[string]bool, sub In
 }
 
 // cloneForRange derives a worker scan restricted to [lo, hi). The
-// immutable plan state (schema, columns, IMC source, vector filters)
+// immutable plan state (schema, columns, IMC source, vector kernels)
 // is shared; all iteration state is fresh.
 func (s *tableScan) cloneForRange(lo, hi int) *tableScan {
 	return &tableScan{
 		tab: s.tab, alias: s.alias, sch: s.sch, needVC: s.needVC,
-		cols: s.cols, sub: s.sub, vecFilters: s.vecFilters,
-		vecSpecs: s.vecSpecs, env: s.env,
-		batchMode: s.batchMode, batchKernels: s.batchKernels,
-		batchLabels: s.batchLabels, bsrc: s.bsrc, batchOut: s.batchOut,
+		cols: s.cols, sub: s.sub, vecSpecs: s.vecSpecs, env: s.env,
+		batchKernels: s.batchKernels, batchLabels: s.batchLabels, bsrc: s.bsrc,
 		lo: lo, hi: hi,
 	}
 }
@@ -294,32 +281,21 @@ func (s *tableScan) Open(ec *ExecCtx) error {
 	if s.rowIDsFn != nil {
 		s.rowIDs = s.rowIDsFn()
 	}
-	s.vecRuntime, s.fallbackPred, s.fallbackCtx = nil, nil, nil
-	s.batchRun, s.runLabels, s.batchActive = nil, nil, false
-	if s.batchMode {
+	s.fallbackPred, s.fallbackCtx = nil, nil
+	s.batchRun, s.runLabels = nil, nil
+	if s.bsrc != nil {
 		s.batchRun = make([]imc.BatchKernel, 0, len(s.batchKernels)+len(s.vecSpecs))
 		s.batchRun = append(s.batchRun, s.batchKernels...)
 		s.runLabels = append(make([]string, 0, cap(s.batchRun)), s.batchLabels...)
-	}
-	if len(s.vecSpecs) > 0 {
-		vfs, _ := s.sub.(VectorFilterSource)
 		for i := range s.vecSpecs {
 			spec := &s.vecSpecs[i]
+			// with the bind values in hand the conjunct becomes a kernel;
+			// when the compile declines it stays a row-level residual
 			if vals, ok := spec.operandValues(s.env); ok {
-				// bind values are in hand: prefer a batch kernel, then a
-				// per-row vector closure, then the row-level fallback
-				if s.batchMode && s.bsrc != nil {
-					if k, ok := s.bsrc.CompileBatchFilter(spec.col, spec.op, vals); ok {
-						s.batchRun = append(s.batchRun, k)
-						s.runLabels = append(s.runLabels, spec.col+" "+spec.op)
-						continue
-					}
-				}
-				if vfs != nil {
-					if f, ok := vfs.CompileFilter(spec.col, spec.op, vals); ok {
-						s.vecRuntime = append(s.vecRuntime, f)
-						continue
-					}
+				if k, ok := s.bsrc.CompileBatchFilter(spec.col, spec.op, vals); ok {
+					s.batchRun = append(s.batchRun, k)
+					s.runLabels = append(s.runLabels, spec.col+" "+spec.op)
+					continue
 				}
 			}
 			s.fallbackPred = andExpr(s.fallbackPred, spec.orig)
@@ -328,9 +304,9 @@ func (s *tableScan) Open(ec *ExecCtx) error {
 			s.fallbackCtx = s.env.bindCtx(s.sch, s.fallbackPred)
 		}
 	}
-	// batch iteration needs at least one kernel and full-range row-id
-	// iteration (index-driven and sampled scans stay row-at-a-time)
-	s.batchActive = s.batchMode && len(s.batchRun) > 0 && s.rowIDs == nil && s.rng == nil
+	// vector predicates are only ever planned onto full-range scans (no
+	// index postings, no sampling), so kernels always drive the iteration
+	s.batchActive = len(s.batchRun) > 0
 	s.chunksSeen, s.chunksPruned, s.selRows = 0, 0, 0
 	s.statChunks, s.statPruned, s.statSelRows = 0, 0, 0
 	s.kernelStats = nil
@@ -354,17 +330,9 @@ func (s *tableScan) deleted(rowID int) bool {
 	return rowID < len(s.tombs) && s.tombs[rowID]
 }
 
-func (s *tableScan) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if s.st != nil {
-		t0 := time.Now()
-		defer func() { s.st.observe(time.Since(t0), ok) }()
-	}
-	return s.next1(ec)
-}
-
-// next1 is the row step shared by Next and NextBatch: the stats
-// wrappers differ, the iteration does not.
-func (s *tableScan) next1(ec *ExecCtx) ([]jsondom.Value, bool, error) {
+// step materializes the next surviving row (NextBatch fills its batch
+// through it).
+func (s *tableScan) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 	if s.batchActive {
 		return s.nextBatchRow(ec)
 	}
@@ -396,9 +364,6 @@ func (s *tableScan) next1(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			row = s.rows[rowID]
 		}
 		if s.rng != nil && s.rng.Float64()*100 >= s.samplePct {
-			continue
-		}
-		if !s.passVecFilters(rowID) {
 			continue
 		}
 		out, match, err := s.materialize(rowID, row)
@@ -551,20 +516,6 @@ func (s *tableScan) advanceChunk(ec *ExecCtx) (bool, error) {
 	}
 }
 
-func (s *tableScan) passVecFilters(rowID int) bool {
-	for _, f := range s.vecFilters {
-		if !f(rowID) {
-			return false
-		}
-	}
-	for _, f := range s.vecRuntime {
-		if !f(rowID) {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *tableScan) Close() error {
 	putBatch(s.out)
 	s.out = nil
@@ -590,12 +541,7 @@ func (s *tableScan) opName() string {
 	if s.rowIDsFn != nil {
 		name += " via-index"
 	}
-	if s.batchMode {
-		name += " batch"
-	}
-	if n := len(s.vecFilters) + len(s.vecSpecs) + len(s.batchKernels); n > 0 {
-		name += fmt.Sprintf(" vec-filters=%d", n)
-	}
+	name += s.vecSuffix()
 	if s.samplePct > 0 {
 		name += fmt.Sprintf(" sample=%.0f%%", s.samplePct)
 	}
@@ -603,6 +549,15 @@ func (s *tableScan) opName() string {
 }
 func (s *tableScan) opChildren() []rowSource { return nil }
 func (s *tableScan) opStat() *OpStats        { return s.st }
+
+// vecSuffix is the operator-name part describing the scan's vector
+// predicates (shared with ParallelScan's line).
+func (s *tableScan) vecSuffix() string {
+	if s.bsrc == nil {
+		return ""
+	}
+	return fmt.Sprintf(" batch vec-filters=%d", len(s.vecSpecs)+len(s.batchKernels))
+}
 
 // opExtraLines reports the batch scan's chunk accounting for EXPLAIN
 // ANALYZE: one summary line plus, in collect mode, one line per
@@ -643,21 +598,12 @@ type filterOp struct {
 	ctx   *evalCtx
 	st    *OpStats
 	ticks int
-	// batch enables batch pass-through (plan-time flag); bin is the
-	// input's batch face when it actually batches this execution, out
-	// the filter's pooled survivor batch.
-	batch bool
-	bin   batchSource
-	out   *Batch
+	out   *Batch // the filter's pooled survivor batch
 }
 
 func (f *filterOp) Open(ec *ExecCtx) error {
 	f.st = ec.statFor()
 	f.ctx = f.env.bindCtx(f.in.Schema(), f.pred)
-	f.bin = nil
-	if f.batch {
-		f.bin = batchInput(f.in)
-	}
 	return f.in.Open(ec)
 }
 func (f *filterOp) Close() error {
@@ -666,32 +612,6 @@ func (f *filterOp) Close() error {
 	return f.in.Close()
 }
 func (f *filterOp) Schema() Schema { return f.in.Schema() }
-
-func (f *filterOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if f.st != nil {
-		t0 := time.Now()
-		defer func() { f.st.observe(time.Since(t0), ok) }()
-	}
-	for {
-		// a selective predicate over a non-ticking child can spin
-		// unboundedly between emitted rows, so the filter ticks too
-		if err := ec.tickErr(&f.ticks); err != nil {
-			return nil, false, err
-		}
-		row, ok, err := f.in.Next(ec)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.ctx.row = row
-		v, err := evalExpr(f.ctx, f.pred)
-		if err != nil {
-			return nil, false, err
-		}
-		if truthy(v) {
-			return row, true, nil
-		}
-	}
-}
 
 func (f *filterOp) opName() string          { return "Filter" }
 func (f *filterOp) opChildren() []rowSource { return []rowSource{f.in} }
@@ -705,10 +625,8 @@ type projectOp struct {
 	env   *planEnv
 	ctx   *evalCtx
 	st    *OpStats
-	// batch enables 1:1 batch projection; output rows are arena-carved
-	// so consumers may retain them without a copy.
-	batch bool
-	bin   batchSource
+	// output rows are arena-carved so consumers may retain them without
+	// a copy
 	out   *Batch
 	arena rowArena
 }
@@ -716,10 +634,6 @@ type projectOp struct {
 func (p *projectOp) Open(ec *ExecCtx) error {
 	p.st = ec.statFor()
 	p.ctx = p.env.bindCtx(p.in.Schema(), p.exprs...)
-	p.bin = nil
-	if p.batch {
-		p.bin = batchInput(p.in)
-	}
 	return p.in.Open(ec)
 }
 func (p *projectOp) Close() error {
@@ -728,27 +642,6 @@ func (p *projectOp) Close() error {
 	return p.in.Close()
 }
 func (p *projectOp) Schema() Schema { return p.sch }
-
-func (p *projectOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if p.st != nil {
-		t0 := time.Now()
-		defer func() { p.st.observe(time.Since(t0), ok) }()
-	}
-	row, ok, err := p.in.Next(ec)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.ctx.row = row
-	out = p.arena.alloc(len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := evalExpr(p.ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
 
 func (p *projectOp) opName() string          { return "Project" }
 func (p *projectOp) opChildren() []rowSource { return []rowSource{p.in} }
@@ -764,21 +657,12 @@ type limitOp struct {
 	// query will never observe.
 	inClosed bool
 	st       *OpStats
-	// batch threads the remaining-row budget into the input's batch
-	// materialization, so a batch scan below stops mid-chunk instead of
-	// materializing a whole final chunk the limit then discards.
-	batch bool
-	bin   batchSource
 }
 
 func (l *limitOp) Open(ec *ExecCtx) error {
 	l.st = ec.statFor()
 	l.n = 0
 	l.inClosed = false
-	l.bin = nil
-	if l.batch {
-		l.bin = batchInput(l.in)
-	}
 	return l.in.Open(ec)
 }
 
@@ -791,30 +675,6 @@ func (l *limitOp) Close() error {
 }
 
 func (l *limitOp) Schema() Schema { return l.in.Schema() }
-
-func (l *limitOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if l.st != nil {
-		t0 := time.Now()
-		defer func() { l.st.observe(time.Since(t0), ok) }()
-	}
-	if l.n >= l.limit {
-		// early termination: release upstream resources now rather
-		// than when the whole plan is closed
-		if !l.inClosed {
-			l.inClosed = true
-			if err := l.in.Close(); err != nil {
-				return nil, false, err
-			}
-		}
-		return nil, false, nil
-	}
-	row, ok, err := l.in.Next(ec)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.n++
-	return row, true, nil
-}
 
 func (l *limitOp) opName() string          { return fmt.Sprintf("Limit(%d)", l.limit) }
 func (l *limitOp) opChildren() []rowSource { return []rowSource{l.in} }
@@ -830,9 +690,10 @@ type jsonTableOp struct {
 	sch  Schema
 	env  *planEnv
 
+	// leftCur is the row view of the outer input; leftRow is the outer
+	// row currently being expanded.
+	leftCur batchCursor
 	leftRow []jsondom.Value
-	pending [][]jsondom.Value
-	pi      int
 	done    bool
 	argCtx  *evalCtx
 	st      *OpStats
@@ -845,21 +706,17 @@ type jsonTableOp struct {
 	// translates them with the current bind values into runFilters.
 	preSpecs   []Expr
 	runFilters []*pathengine.Compiled
-	// arena carves the merged left+expanded output rows.
+	// arena carves the merged left+expanded output rows; out is the
+	// batch currently on loan to the consumer.
 	arena rowArena
-	// batch enables pooled-batch delivery of the expanded rows (plan
-	// flag, copied by clonePlan); out is the batch currently on loan to
-	// the consumer.
-	batch bool
 	out   *Batch
 	// exp is the pooled expansion scratch (execution state: lazily
 	// built per instance, never copied by clonePlan, so cached-plan
-	// clones and parallel worker clones each own one). emitPend and
-	// emitBatch are the pre-bound emit callbacks (built once so the
-	// per-document Expand call allocates no closure); bsink is the
-	// batch on loan to emitBatch during NextBatch.
+	// clones and parallel worker clones each own one). emitBatch is the
+	// pre-bound emit callback (built once so the per-document Expand
+	// call allocates no closure); bsink is the batch on loan to it
+	// during NextBatch.
 	exp       *sqljson.ExpandState
-	emitPend  func([]jsondom.Value) error
 	emitBatch func([]jsondom.Value) error
 	bsink     *Batch
 	// expansion accounting for sql.jsontable.* metrics and EXPLAIN
@@ -885,8 +742,7 @@ func newJSONTableOp(left rowSource, ref *JSONTableRef, env *planEnv) *jsonTableO
 
 func (j *jsonTableOp) Open(ec *ExecCtx) error {
 	j.st = ec.statFor()
-	j.pending, j.pi, j.done = j.pending[:0], 0, false
-	j.leftRow = nil
+	j.leftCur, j.leftRow, j.done = batchCursor{src: j.left}, nil, false
 	j.runFilters = nil
 	for _, c := range j.preSpecs {
 		if pf, ok := translatePrefilter(j.ref, c, j.env.params); ok {
@@ -904,7 +760,6 @@ func (j *jsonTableOp) Open(ec *ExecCtx) error {
 		// pool on Open (and return it on Close), so evaluation arenas
 		// and value dictionaries stay warm across executions
 		j.exp = j.ref.Def.AcquireState()
-		j.emitPend = j.pendEmit
 		j.emitBatch = j.batchEmit
 	}
 	j.base = j.exp.Stats()
@@ -957,67 +812,6 @@ func (j *jsonTableOp) flushStats() {
 
 func (j *jsonTableOp) Schema() Schema { return j.sch }
 
-func (j *jsonTableOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if j.st != nil {
-		t0 := time.Now()
-		defer func() { j.st.observe(time.Since(t0), ok) }()
-	}
-	return j.nextRow(ec)
-}
-
-// nextRow is the stats-free expansion loop shared by Next and the
-// batch producer (NextBatch in exec_batch.go). Pending rows are fully
-// merged and arena-carved, so consumers may retain them.
-func (j *jsonTableOp) nextRow(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	for {
-		// document expansion can reject every pending row of many
-		// successive outer rows; stay cancellable across them
-		if err := ec.tickErr(&j.ticks); err != nil {
-			return nil, false, err
-		}
-		if j.pi < len(j.pending) {
-			row := j.pending[j.pi]
-			j.pi++
-			return row, true, nil
-		}
-		if j.done {
-			return nil, false, nil
-		}
-		if j.left == nil {
-			j.done = true
-			if err := j.expandPending(ec, nil); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		row, ok, err := j.left.Next(ec)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.done = true
-			continue
-		}
-		if err := j.expandPending(ec, row); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// expandPending expands the current outer row's document into
-// j.pending, reusing the slice header across outer rows.
-func (j *jsonTableOp) expandPending(ec *ExecCtx, leftRow []jsondom.Value) error {
-	j.pending, j.pi = j.pending[:0], 0
-	return j.expandDoc(ec, leftRow, j.emitPend)
-}
-
-// pendEmit merges one expansion row with the current outer row and
-// queues it (the pre-bound emit target of expandPending).
-func (j *jsonTableOp) pendEmit(scratch []jsondom.Value) error {
-	j.pending = append(j.pending, j.mergeRow(scratch))
-	return nil
-}
-
 // mergeRow carves left+expanded into the op's row arena. The scratch
 // slice is ExpandState-owned and overwritten by the next row; the
 // arena copy is what consumers may retain.
@@ -1033,8 +827,8 @@ func (j *jsonTableOp) mergeRow(scratch []jsondom.Value) []jsondom.Value {
 // row, applies static and bind-time prefilters, and streams the merged
 // JSON_TABLE rows to emit via the pooled ExpandState.
 func (j *jsonTableOp) expandDoc(ec *ExecCtx, leftRow []jsondom.Value, emit func([]jsondom.Value) error) error {
-	// one cancellation point per document, matching row-at-a-time
-	// expansion granularity (a document expands in microseconds)
+	// one cancellation point per document (a document expands in
+	// microseconds)
 	if err := ec.Context().Err(); err != nil {
 		return err
 	}
@@ -1116,6 +910,7 @@ type crossJoin struct {
 	sch         Schema
 
 	rightRows [][]jsondom.Value
+	leftCur   batchCursor
 	leftRow   []jsondom.Value
 	ri        int
 	init      bool
@@ -1123,6 +918,7 @@ type crossJoin struct {
 	memUsed   int64
 	ec        *ExecCtx
 	st        *OpStats
+	out       *Batch
 }
 
 func newCrossJoin(l, r rowSource) *crossJoin {
@@ -1134,6 +930,7 @@ func (c *crossJoin) Open(ec *ExecCtx) error {
 	c.st = ec.statFor()
 	c.ec = ec
 	c.init, c.ri, c.leftRow, c.rightRows = false, 0, nil, nil
+	c.leftCur = batchCursor{src: c.left}
 	if err := c.left.Open(ec); err != nil {
 		return err
 	}
@@ -1141,6 +938,8 @@ func (c *crossJoin) Open(ec *ExecCtx) error {
 }
 
 func (c *crossJoin) Close() error {
+	putBatch(c.out)
+	c.out = nil
 	c.ec.release(c.memUsed)
 	c.memUsed = 0
 	if err := c.left.Close(); err != nil {
@@ -1151,18 +950,27 @@ func (c *crossJoin) Close() error {
 
 func (c *crossJoin) Schema() Schema { return c.sch }
 
-func (c *crossJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
+func (c *crossJoin) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if c.st != nil {
 		t0 := time.Now()
-		defer func() { c.st.observe(time.Since(t0), ok) }()
+		defer func() { c.st.observeBatch(time.Since(t0), b.Len()) }()
 	}
+	putBatch(c.out)
+	c.out, err = fillBatch(ec, c, &c.ticks, max)
+	return c.out, err
+}
+
+// step emits the next left x right pair, materializing the right side
+// on the first call.
+func (c *crossJoin) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 	if !c.init {
 		c.init = true
+		right := batchCursor{src: c.right}
 		for {
 			if err := ec.tickErr(&c.ticks); err != nil {
 				return nil, false, err
 			}
-			row, ok, err := c.right.Next(ec)
+			row, ok, err := right.next(ec)
 			if err != nil {
 				return nil, false, err
 			}
@@ -1182,7 +990,7 @@ func (c *crossJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) 
 			return nil, false, err
 		}
 		if c.leftRow == nil {
-			row, ok, err := c.left.Next(ec)
+			row, ok, err := c.leftCur.next(ec)
 			if err != nil || !ok {
 				return nil, false, err
 			}
@@ -1230,12 +1038,13 @@ type hashJoin struct {
 
 	leftCtx, rightCtx, residCtx *evalCtx
 
-	// batch enables batch-at-a-time build/probe pulls and, when both
-	// inputs qualify, the code-space fast path (fast != nil after init).
-	batch    bool
-	fast     *joinFast
-	leftNext rowNextFunc
-	arena    rowArena
+	// fast is the code-space path, taken when both inputs qualify
+	// (non-nil after init); leftCur is the generic probe's view of the
+	// left input; out is the batch on loan to the consumer.
+	fast    *joinFast
+	leftCur batchCursor
+	arena   rowArena
+	out     *Batch
 	// keyBuf is the keyOf scratch for the build and probe loops.
 	keyBuf []byte
 
@@ -1273,7 +1082,7 @@ func (h *hashJoin) Open(ec *ExecCtx) error {
 	h.ec = ec
 	h.init, h.table, h.leftRow, h.matches, h.mi = false, nil, nil, nil, 0
 	h.fast = nil
-	h.leftNext = nil
+	h.leftCur = batchCursor{src: h.left}
 	h.blLeft, h.blMatches, h.blHadKey, h.blActive, h.blPadded, h.blLi, h.blMi = nil, nil, nil, false, false, 0, 0
 	h.leftCtx = h.env.bindCtx(h.left.Schema(), h.leftKeys...)
 	h.rightCtx = h.env.bindCtx(h.right.Schema(), h.rightKeys...)
@@ -1287,6 +1096,8 @@ func (h *hashJoin) Open(ec *ExecCtx) error {
 }
 
 func (h *hashJoin) Close() error {
+	putBatch(h.out)
+	h.out = nil
 	h.ec.release(h.memUsed)
 	h.memUsed = 0
 	if err := h.left.Close(); err != nil {
@@ -1317,33 +1128,37 @@ func (h *hashJoin) keyOf(ctx *evalCtx, buf []byte, row []jsondom.Value, keys []E
 	return buf, true, nil
 }
 
-func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
+func (h *hashJoin) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if h.st != nil {
 		t0 := time.Now()
-		defer func() { h.st.observe(time.Since(t0), ok) }()
+		defer func() { h.st.observeBatch(time.Since(t0), b.Len()) }()
 	}
+	putBatch(h.out)
+	h.out, err = fillBatch(ec, h, &h.ticks, max)
+	return h.out, err
+}
+
+// step emits the next join output row, building the hash table on the
+// first call: in code space when both inputs qualify, else on the
+// planner's build side.
+func (h *hashJoin) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 	if !h.init {
 		h.init = true
-		if h.batch {
-			if jf := newJoinFast(h); jf != nil {
-				h.fast = jf
-				if err := jf.build(ec); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		if h.fast == nil {
-			if h.buildLeft {
-				if err := h.buildLeftSide(ec); err != nil {
-					return nil, false, err
-				}
-			} else if err := h.buildGeneric(ec); err != nil {
+		if jf := newJoinFast(h); jf != nil {
+			h.fast = jf
+			if err := jf.build(ec); err != nil {
 				return nil, false, err
 			}
+		} else if h.buildLeft {
+			if err := h.buildLeftSide(ec); err != nil {
+				return nil, false, err
+			}
+		} else if err := h.buildGeneric(ec); err != nil {
+			return nil, false, err
 		}
 	}
 	if h.fast != nil {
-		return h.fast.next(ec)
+		return h.fast.step(ec)
 	}
 	if h.blActive {
 		return h.nextBuildLeft(ec)
@@ -1370,7 +1185,7 @@ func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 			}
 			return out, true, nil
 		}
-		row, ok, err := h.leftNext(ec)
+		row, ok, err := h.leftCur.next(ec)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -1397,16 +1212,15 @@ func (h *hashJoin) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
 }
 
 // buildGeneric materializes the right input into the rendered-key hash
-// table, pulling in batches when the input supports it.
+// table.
 func (h *hashJoin) buildGeneric(ec *ExecCtx) error {
-	h.leftNext = batchNextFunc(h.left, h.batch)
-	rightNext := batchNextFunc(h.right, h.batch)
+	right := batchCursor{src: h.right}
 	h.table = make(map[string][][]jsondom.Value)
 	for {
 		if err := ec.tickErr(&h.ticks); err != nil {
 			return err
 		}
-		row, ok, err := rightNext(ec)
+		row, ok, err := right.next(ec)
 		if err != nil {
 			return err
 		}
@@ -1439,14 +1253,13 @@ func (h *hashJoin) buildGeneric(ec *ExecCtx) error {
 // probe loop would: left-major, right-scan order within a left row.
 func (h *hashJoin) buildLeftSide(ec *ExecCtx) error {
 	h.blActive = true
-	leftNext := batchNextFunc(h.left, h.batch)
-	rightNext := batchNextFunc(h.right, h.batch)
+	right := batchCursor{src: h.right}
 	byKey := make(map[string][]int)
 	for {
 		if err := ec.tickErr(&h.ticks); err != nil {
 			return err
 		}
-		row, ok, err := leftNext(ec)
+		row, ok, err := h.leftCur.next(ec)
 		if err != nil {
 			return err
 		}
@@ -1476,7 +1289,7 @@ func (h *hashJoin) buildLeftSide(ec *ExecCtx) error {
 		if err := ec.tickErr(&h.ticks); err != nil {
 			return err
 		}
-		row, ok, err := rightNext(ec)
+		row, ok, err := right.next(ec)
 		if err != nil {
 			return err
 		}
@@ -1604,10 +1417,10 @@ type groupAggOp struct {
 	memUsed int64
 	ec      *ExecCtx
 	st      *OpStats
+	out     *Batch
 
-	// batch enables batch-at-a-time input pulls and the code-space fast
-	// path; fastStat is its EXPLAIN ANALYZE line when it ran.
-	batch    bool
+	// fastStat is the code-space fast path's EXPLAIN ANALYZE line when
+	// it ran.
 	fastStat string
 }
 
@@ -1630,6 +1443,8 @@ func (g *groupAggOp) Open(ec *ExecCtx) error {
 }
 
 func (g *groupAggOp) Close() error {
+	putBatch(g.out)
+	g.out = nil
 	g.ec.release(g.memUsed)
 	g.memUsed = 0
 	return g.in.Close()
@@ -1647,14 +1462,12 @@ type aggState interface {
 }
 
 func (g *groupAggOp) build(ec *ExecCtx) error {
-	if g.batch {
-		// code-space aggregation when the plan shape qualifies; falls
-		// through to the generic build (over batches) otherwise
-		if ok, err := g.buildFast(ec); ok || err != nil {
-			return err
-		}
+	// code-space aggregation when the plan shape qualifies; the generic
+	// build otherwise
+	if ok, err := g.buildFast(ec); ok || err != nil {
+		return err
 	}
-	next := batchNextFunc(g.in, g.batch)
+	in := batchCursor{src: g.in}
 	index := make(map[string]*groupState)
 	var order []string
 	inSch := g.in.Schema()
@@ -1668,7 +1481,7 @@ func (g *groupAggOp) build(ec *ExecCtx) error {
 		if err := ec.tickErr(&g.ticks); err != nil {
 			return err
 		}
-		row, ok, err := next(ec)
+		row, ok, err := in.next(ec)
 		if err != nil {
 			return err
 		}
@@ -1751,23 +1564,21 @@ func (g *groupAggOp) newStates() []aggState {
 	return states
 }
 
-func (g *groupAggOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
+func (g *groupAggOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if g.st != nil {
 		t0 := time.Now()
-		defer func() { g.st.observe(time.Since(t0), ok) }()
+		defer func() { g.st.observeBatch(time.Since(t0), b.Len()) }()
 	}
+	putBatch(g.out)
+	g.out = nil
 	if !g.opened {
 		g.opened = true
 		if err := g.build(ec); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	if g.gi >= len(g.groups) {
-		return nil, false, nil
-	}
-	row := g.groups[g.gi]
-	g.gi++
-	return row, true, nil
+	g.out = sliceBatch(g.groups, &g.gi, max)
+	return g.out, nil
 }
 
 func (g *groupAggOp) opName() string {
@@ -1920,8 +1731,7 @@ type windowOp struct {
 	memUsed int64
 	ec      *ExecCtx
 	st      *OpStats
-	// batch enables batch-at-a-time materialization of the input.
-	batch bool
+	out     *Batch
 }
 
 func newWindowOp(in rowSource, funcs []*WindowFunc, env *planEnv) *windowOp {
@@ -1942,6 +1752,8 @@ func (w *windowOp) Open(ec *ExecCtx) error {
 }
 
 func (w *windowOp) Close() error {
+	putBatch(w.out)
+	w.out = nil
 	w.ec.release(w.memUsed)
 	w.memUsed = 0
 	return w.in.Close()
@@ -1950,13 +1762,13 @@ func (w *windowOp) Schema() Schema { return w.sch }
 
 func (w *windowOp) build(ec *ExecCtx) error {
 	inSch := w.in.Schema()
-	next := batchNextFunc(w.in, w.batch)
+	in := batchCursor{src: w.in}
 	var base [][]jsondom.Value
 	for {
 		if err := ec.tickErr(&w.ticks); err != nil {
 			return err
 		}
-		row, ok, err := next(ec)
+		row, ok, err := in.next(ec)
 		if err != nil {
 			return err
 		}
@@ -2027,23 +1839,21 @@ func (w *windowOp) build(ec *ExecCtx) error {
 	return nil
 }
 
-func (w *windowOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
+func (w *windowOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if w.st != nil {
 		t0 := time.Now()
-		defer func() { w.st.observe(time.Since(t0), ok) }()
+		defer func() { w.st.observeBatch(time.Since(t0), b.Len()) }()
 	}
+	putBatch(w.out)
+	w.out = nil
 	if !w.opened {
 		w.opened = true
 		if err := w.build(ec); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	if w.pos >= len(w.rows) {
-		return nil, false, nil
-	}
-	row := w.rows[w.pos]
-	w.pos++
-	return row, true, nil
+	w.out = sliceBatch(w.rows, &w.pos, max)
+	return w.out, nil
 }
 
 func (w *windowOp) opName() string          { return fmt.Sprintf("Window(funcs=%d)", len(w.funcs)) }
@@ -2073,8 +1883,7 @@ type sortOp struct {
 	memUsed  int64
 	ec       *ExecCtx
 	st       *OpStats
-	// batch enables batch-at-a-time materialization of the input.
-	batch bool
+	out      *Batch
 }
 
 func (s *sortOp) Open(ec *ExecCtx) error {
@@ -2085,6 +1894,8 @@ func (s *sortOp) Open(ec *ExecCtx) error {
 }
 
 func (s *sortOp) Close() error {
+	putBatch(s.out)
+	s.out = nil
 	s.ec.release(s.memUsed)
 	s.memUsed = 0
 	if s.inClosed {
@@ -2096,33 +1907,31 @@ func (s *sortOp) Close() error {
 
 func (s *sortOp) Schema() Schema { return s.in.Schema() }
 
-func (s *sortOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
+func (s *sortOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if s.st != nil {
 		t0 := time.Now()
-		defer func() { s.st.observe(time.Since(t0), ok) }()
+		defer func() { s.st.observeBatch(time.Since(t0), b.Len()) }()
 	}
+	putBatch(s.out)
+	s.out = nil
 	if !s.opened {
 		s.opened = true
 		if err := s.build(ec); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
+	s.out = sliceBatch(s.rows, &s.pos, max)
+	return s.out, nil
 }
 
 // build materializes and stable-sorts the whole input.
 func (s *sortOp) build(ec *ExecCtx) error {
-	next := batchNextFunc(s.in, s.batch)
+	in := batchCursor{src: s.in}
 	for {
 		if err := ec.tickErr(&s.ticks); err != nil {
 			return err
 		}
-		row, ok, err := next(ec)
+		row, ok, err := in.next(ec)
 		if err != nil {
 			return err
 		}
@@ -2317,9 +2126,6 @@ type aliasWrap struct {
 	alias string
 	sch   Schema
 	st    *OpStats
-	// bin is the input's batch face; the wrap passes batches through
-	// untouched (only the schema differs).
-	bin batchSource
 }
 
 func newAliasWrap(in rowSource, alias string, names []string) *aliasWrap {
@@ -2337,18 +2143,10 @@ func newAliasWrap(in rowSource, alias string, names []string) *aliasWrap {
 
 func (w *aliasWrap) Open(ec *ExecCtx) error {
 	w.st = ec.statFor()
-	w.bin = batchInput(w.in)
 	return w.in.Open(ec)
 }
 func (w *aliasWrap) Close() error   { return w.in.Close() }
 func (w *aliasWrap) Schema() Schema { return w.sch }
-func (w *aliasWrap) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if w.st != nil {
-		t0 := time.Now()
-		defer func() { w.st.observe(time.Since(t0), ok) }()
-	}
-	return w.in.Next(ec)
-}
 
 func (w *aliasWrap) opName() string          { return fmt.Sprintf("Alias(%s)", w.alias) }
 func (w *aliasWrap) opChildren() []rowSource { return []rowSource{w.in} }

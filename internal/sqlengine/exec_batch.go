@@ -1,5 +1,6 @@
-// Batch execution spine: selection bitmaps, dictionary codes, and
-// pooled row batches flow up the plan instead of dying at the scan.
+// Batch execution spine: the engine's one operator contract. Selection
+// bitmaps, dictionary codes, and pooled row batches flow up the plan;
+// rows meet the caller only in drainSource.
 //
 // Three layers cooperate here:
 //
@@ -10,12 +11,17 @@
 //     and joins buffer them). Only the header and its backing pointer
 //     array return to the pool.
 //
-//   - batchSource / batchProducer: the operator contract. A batch
-//     producer's NextBatch returns nil at end of input and otherwise a
+//   - rowSource.NextBatch (exec.go): the pull every operator
+//     implements. It returns nil at end of input and otherwise a
 //     non-empty batch valid until the producer's next NextBatch or
 //     Close call. The max argument is the consumer's remaining-row
-//     budget (LIMIT): producers use it to stop materializing mid-chunk;
-//     it is a hint, so consumers still enforce exact limits.
+//     budget (LIMIT): the consumer will never want more than max rows
+//     in total, so producers stop materializing there; it is a hint,
+//     and consumers still enforce exact limits. batchCursor is the
+//     consuming side for operators that work a row at a time (the
+//     pipeline breakers' build loops, joins, JSON_TABLE's outer input);
+//     fillBatch and sliceBatch are the producing side for the joins
+//     and for breakers that emit a materialized slice.
 //
 //   - vector fast paths: when a pipeline breaker sits directly on a
 //     scan whose key columns are IMC vector-backed, grouped aggregation
@@ -24,9 +30,9 @@
 //     space, materializing only the rows that survive the join.
 //
 // All mutation of Batch internals lives in this file (the add/reset/
-// truncate methods); fsdmvet's immutcheck enforces that no other file
-// writes Batch fields, which is what makes the pooling safe to reason
-// about.
+// truncate methods and sliceBatch); fsdmvet's immutcheck enforces that
+// no other file writes Batch fields, which is what makes the pooling
+// safe to reason about.
 
 package sqlengine
 
@@ -49,10 +55,10 @@ const batchSize = imc.ChunkSize
 // arena slab allocation (one alloc per ~8 batches of 8-column rows).
 const arenaSlabValues = 8192
 
-// Batch is a chunk of rows flowing between batch-aware operators.
-// Headers are pooled: a batch returned by NextBatch is valid until the
-// producer's next NextBatch or Close call. The row slices inside are
-// freshly allocated (arena-carved) and safe to retain indefinitely.
+// Batch is a chunk of rows flowing between operators. Headers are
+// pooled: a batch returned by NextBatch is valid until the producer's
+// next NextBatch or Close call. The row slices inside are freshly
+// allocated (arena-carved) and safe to retain indefinitely.
 type Batch struct {
 	rows [][]jsondom.Value
 }
@@ -137,61 +143,31 @@ func (a *rowArena) alloc(n int) []jsondom.Value {
 	return row
 }
 
-// batchProducer delivers rows in batches. max > 0 is the consumer's
-// remaining-row budget: producers use it to stop materializing
-// mid-chunk (LIMIT pushdown), but it is a hint — consumers enforce
-// exact truncation themselves. A non-nil result always holds at least
-// one row; nil means end of input.
-type batchProducer interface {
-	NextBatch(ec *ExecCtx, max int) (*Batch, error)
-}
-
-// batchSource is a rowSource that can also deliver its output in
-// batches. Parents pick one mode at Open and stick with it.
-type batchSource interface {
-	rowSource
-	batchProducer
-	// batchReady reports whether this execution will actually produce
-	// batches — batch execution enabled for the plan and supported by
-	// the operator's input. Callers fall back to Next when false.
-	batchReady() bool
-}
-
-// batchInput returns in as an actually-batching source, or nil when
-// the input cannot produce batches this execution.
-func batchInput(in rowSource) batchSource {
-	if b, ok := in.(batchSource); ok && b.batchReady() {
-		return b
+// batchLimit is the row count one NextBatch call aims for: a full
+// batch, or the consumer's remaining-row budget when that is smaller.
+func batchLimit(max int) int {
+	if max > 0 && max < batchSize {
+		return max
 	}
-	return nil
+	return batchSize
 }
 
-// rowNextFunc is the row-at-a-time pull signature shared by rowSource
-// Next and batchCursor.next; pipeline breakers build through it so one
-// loop serves both consumption modes.
-type rowNextFunc func(*ExecCtx) ([]jsondom.Value, bool, error)
-
-// batchNextFunc returns the pull function for a pipeline breaker's
-// build loop: the input's batch drain when the input batches (and the
-// operator's batch flag is on), its plain Next otherwise.
-func batchNextFunc(in rowSource, batch bool) rowNextFunc {
-	if batch {
-		if b := batchInput(in); b != nil {
-			cur := &batchCursor{src: b}
-			return cur.next
-		}
-	}
-	return in.Next
-}
-
-// batchCursor adapts NextBatch back to row-at-a-time pulls for
-// pipeline breakers that consume batches but emit rows. It never
-// recycles batches — the producer owns them.
+// batchCursor is the row-at-a-time view of a batch input, for the
+// operators that consume one row per step: pipeline-breaker build
+// loops, join probes, JSON_TABLE's outer input. It never recycles
+// batches — the producer owns them, and recycles the header the cursor
+// is reading on its next NextBatch call. So the cursor drops its header
+// before every pull and latches end of input: a join step that asks
+// again after EOF (fillBatch returned the partial last batch first)
+// gets ok=false without touching a header that now belongs to the pool.
+// The zero cursor over a source is ready to use; operators that keep
+// one across calls reset it in Open.
 type batchCursor struct {
-	src   batchProducer
+	src   rowSource
 	cur   *Batch
 	pos   int
 	ticks int
+	done  bool
 }
 
 func (c *batchCursor) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
@@ -200,6 +176,10 @@ func (c *batchCursor) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			row := c.cur.Row(c.pos)
 			c.pos++
 			return row, true, nil
+		}
+		c.cur, c.pos = nil, 0
+		if c.done {
+			return nil, false, nil
 		}
 		// a pruning producer can return many empty pulls back to back;
 		// stay cancellable across them
@@ -211,34 +191,33 @@ func (c *batchCursor) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			return nil, false, err
 		}
 		if b == nil {
+			c.done = true
 			return nil, false, nil
 		}
-		c.cur, c.pos = b, 0
+		c.cur = b
 	}
 }
 
-// rowBatcher bridges a row-at-a-time source into the batch contract
-// for operators whose parent batches but whose input does not.
-type rowBatcher struct {
-	in    rowSource
-	out   *Batch
-	ticks int
+// rowStepper is the internal row step of an operator whose output is
+// produced one row at a time (scan materialization, join probes):
+// ok=false at end of input. fillBatch turns it into the batch contract.
+type rowStepper interface {
+	step(ec *ExecCtx) (row []jsondom.Value, ok bool, err error)
 }
 
-func (r *rowBatcher) NextBatch(ec *ExecCtx, max int) (*Batch, error) {
-	putBatch(r.out)
-	r.out = nil
-	lim := batchSize
-	if max > 0 && max < lim {
-		lim = max
-	}
+// fillBatch pulls s until batchLimit(max) rows sit in a pooled header
+// and returns it, or nil at end of input. Stopping at the consumer's
+// budget is what keeps a LIMIT above a join from paying for a whole
+// batch of probe output. The caller owns the returned header.
+func fillBatch(ec *ExecCtx, s rowStepper, ticks *int, max int) (*Batch, error) {
+	lim := batchLimit(max)
 	b := getBatch()
 	for b.Len() < lim {
-		if err := ec.tickErr(&r.ticks); err != nil {
+		if err := ec.tickErr(ticks); err != nil {
 			putBatch(b)
 			return nil, err
 		}
-		row, ok, err := r.in.Next(ec)
+		row, ok, err := s.step(ec)
 		if err != nil {
 			putBatch(b)
 			return nil, err
@@ -252,19 +231,31 @@ func (r *rowBatcher) NextBatch(ec *ExecCtx, max int) (*Batch, error) {
 		putBatch(b)
 		return nil, nil
 	}
-	r.out = b
-	mBatchAdaptedRows.Add(int64(b.Len()))
 	return b, nil
+}
+
+// sliceBatch hands out the next batchLimit(max) rows of a pipeline
+// breaker's materialized output in a pooled header, advancing *pos;
+// nil once the slice is exhausted. The caller owns the header.
+func sliceBatch(rows [][]jsondom.Value, pos *int, max int) *Batch {
+	n := len(rows) - *pos
+	if n <= 0 {
+		return nil
+	}
+	if lim := batchLimit(max); n > lim {
+		n = lim
+	}
+	b := getBatch()
+	b.rows = append(b.rows, rows[*pos:*pos+n]...)
+	*pos += n
+	return b
 }
 
 // ---------------------------------------------------------------------------
 // table scan: batch production and id-only iteration
 
-// batchReady reports whether the scan emits batches this plan.
-func (s *tableScan) batchReady() bool { return s.batchOut }
-
-// NextBatch materializes up to min(batchSize, max) surviving rows into
-// a pooled batch. In bitmap mode the selection position persists
+// NextBatch materializes up to batchLimit(max) surviving rows into a
+// pooled batch. With vector kernels the selection position persists
 // across calls, so a LIMIT budget stops materialization mid-chunk and
 // the next call (if any) resumes exactly where it left off.
 func (s *tableScan) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
@@ -274,29 +265,12 @@ func (s *tableScan) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	}
 	putBatch(s.out)
 	s.out = nil
-	lim := batchSize
-	if max > 0 && max < lim {
-		lim = max
-	}
-	b = getBatch()
-	for b.Len() < lim {
-		row, ok, err := s.next1(ec)
-		if err != nil {
-			putBatch(b)
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.add(row)
-	}
-	if b.Len() == 0 {
-		putBatch(b)
-		return nil, nil
+	b, err = fillBatch(ec, s, &s.ticks, max)
+	if err != nil || b == nil {
+		return nil, err
 	}
 	s.out = b
 	mBatchBatches.Inc()
-	mBatchRows.Add(int64(b.Len()))
 	return b, nil
 }
 
@@ -314,9 +288,9 @@ func (s *tableScan) idCapable() bool {
 }
 
 // nextSelID returns the next row id surviving the scan's vector
-// predicates — the bitmap drain in batch-kernel mode, the filter
-// closures otherwise — skipping deleted rows. Materialization is the
-// caller's concern. Requires idCapable.
+// kernels (the bitmap drain; every live row when the scan has none),
+// skipping deleted rows. Materialization is the caller's concern.
+// Requires idCapable.
 func (s *tableScan) nextSelID(ec *ExecCtx) (int, bool, error) {
 	if s.batchActive {
 		for {
@@ -330,9 +304,6 @@ func (s *tableScan) nextSelID(ec *ExecCtx) (int, bool, error) {
 				rowID := s.chunkLo + i
 				// bits below the partition floor (an unaligned lo) are not ours
 				if rowID < s.lo || s.deleted(rowID) {
-					continue
-				}
-				if !s.passVecFilters(rowID) {
 					continue
 				}
 				return rowID, true, nil
@@ -352,10 +323,20 @@ func (s *tableScan) nextSelID(ec *ExecCtx) (int, bool, error) {
 		}
 		rowID := s.pos
 		s.pos++
-		if s.deleted(rowID) || !s.passVecFilters(rowID) {
+		if s.deleted(rowID) {
 			continue
 		}
 		return rowID, true, nil
+	}
+}
+
+// creditSelected accounts n rows a code-space fast path consumed
+// through nextSelID instead of NextBatch, so the scan's EXPLAIN ANALYZE
+// line and sql.scan.rows report the rows it selected on that path too.
+func (s *tableScan) creditSelected(n int64) {
+	s.rowsOut += n
+	if s.st != nil {
+		s.st.Rows += n
 	}
 }
 
@@ -363,7 +344,7 @@ func (s *tableScan) nextSelID(ec *ExecCtx) (int, bool, error) {
 // populated IMC vector, the precondition for every code-space fast
 // path. The scan's in-memory source must expose vectors (imc.Store
 // does); a bare column name is required so the vector holds exactly
-// the column the row path would materialize.
+// the column the scan would materialize.
 func (s *tableScan) vectorFor(c *ColRef) (*imc.Vector, bool) {
 	type vecSource interface {
 		Vector(name string) (*imc.Vector, bool)
@@ -380,9 +361,7 @@ func (s *tableScan) vectorFor(c *ColRef) (*imc.Vector, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// filter / project / limit / alias: batch pass-through operators
-
-func (f *filterOp) batchReady() bool { return f.batch && batchInput(f.in) != nil }
+// filter / project / limit / alias / JSON_TABLE: streaming operators
 
 // NextBatch evaluates the predicate over whole input batches,
 // compacting survivors into the filter's own pooled batch. The rows
@@ -396,11 +375,13 @@ func (f *filterOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	f.out = nil
 	out := getBatch()
 	for out.Len() == 0 {
+		// a selective predicate can reject whole input batches back to
+		// back, so the filter ticks too
 		if err := ec.tickErr(&f.ticks); err != nil {
 			putBatch(out)
 			return nil, err
 		}
-		in, err := f.bin.NextBatch(ec, 0)
+		in, err := f.in.NextBatch(ec, 0)
 		if err != nil {
 			putBatch(out)
 			return nil, err
@@ -432,8 +413,6 @@ func (f *filterOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	return out, nil
 }
 
-func (p *projectOp) batchReady() bool { return p.batch && batchInput(p.in) != nil }
-
 // NextBatch projects one input batch into arena-carved output rows —
 // the projection is 1:1, so the consumer's row budget passes straight
 // through to the input.
@@ -444,7 +423,7 @@ func (p *projectOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	}
 	putBatch(p.out)
 	p.out = nil
-	in, err := p.bin.NextBatch(ec, max)
+	in, err := p.in.NextBatch(ec, max)
 	if err != nil || in == nil {
 		return nil, err
 	}
@@ -466,11 +445,11 @@ func (p *projectOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	return out, nil
 }
 
-func (l *limitOp) batchReady() bool { return l.batch && batchInput(l.in) != nil }
-
 // NextBatch threads the remaining-row budget into the input's batch
-// materialization: a batch scan below stops materializing mid-chunk
-// instead of building the whole final chunk and discarding the tail.
+// materialization: a scan or join below stops materializing at the
+// budget instead of building a whole batch the limit then discards.
+// Once the limit is reached the input is closed eagerly so scans (and
+// parallel scan workers) stop doing work the query will never observe.
 func (l *limitOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if l.st != nil {
 		t0 := time.Now()
@@ -489,7 +468,7 @@ func (l *limitOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if max <= 0 || rem < max {
 		max = rem
 	}
-	in, err := l.bin.NextBatch(ec, max)
+	in, err := l.in.NextBatch(ec, max)
 	if err != nil || in == nil {
 		return nil, err
 	}
@@ -498,26 +477,23 @@ func (l *limitOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	return in, nil
 }
 
-func (w *aliasWrap) batchReady() bool { return batchInput(w.in) != nil }
-
 // NextBatch passes the input's batches through unchanged; only the
 // schema differs.
-func (w *aliasWrap) NextBatch(ec *ExecCtx, max int) (*Batch, error) {
-	return w.bin.NextBatch(ec, max)
+func (w *aliasWrap) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
+	if w.st != nil {
+		t0 := time.Now()
+		defer func() { w.st.observeBatch(time.Since(t0), b.Len()) }()
+	}
+	return w.in.NextBatch(ec, max)
 }
 
-// batchReady reports whether JSON_TABLE emits pooled batches this
-// plan. Expansion output batches regardless of whether the left input
-// does — the op re-rows its input anyway.
-func (j *jsonTableOp) batchReady() bool { return j.batch }
-
-// NextBatch expands documents directly into a pooled batch, cutting
-// the per-row interface dispatch and pending-queue staging between
-// JSON_TABLE and the aggregation above it — the Fig3 spine. Each
-// document's rows are emitted whole, so a batch may overshoot max (the
-// size hint contract allows it). The rows are arena-carved (batchEmit
-// merges left+expansion through j.arena), so consumers may retain
-// them; only the header is recycled on the next call.
+// NextBatch expands documents directly into a pooled batch — no
+// per-row interface dispatch or staging queue between JSON_TABLE and
+// the aggregation above it (the Fig3 spine). Each document's rows are
+// emitted whole, so a batch may overshoot max (the size hint contract
+// allows it). The rows are arena-carved (batchEmit merges
+// left+expansion through j.arena), so consumers may retain them; only
+// the header is recycled on the next call.
 func (j *jsonTableOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	if j.st != nil {
 		t0 := time.Now()
@@ -525,40 +501,31 @@ func (j *jsonTableOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	}
 	putBatch(j.out)
 	j.out = nil
-	lim := batchSize
-	if max > 0 && max < lim {
-		lim = max
-	}
+	lim := batchLimit(max)
 	out := getBatch()
 	j.bsink = out
 	defer func() { j.bsink = nil }()
-	// drain rows a row-mode pull already staged before emitting fresh
-	// documents straight into the batch
-	for j.pi < len(j.pending) {
-		out.add(j.pending[j.pi])
-		j.pi++
-	}
 	for out.Len() < lim && !j.done {
+		// document expansion can reject every row of many successive
+		// outer rows; stay cancellable across them
 		if err := ec.tickErr(&j.ticks); err != nil {
 			putBatch(out)
 			return nil, err
 		}
+		var row []jsondom.Value
 		if j.left == nil {
-			j.done = true
-			if err := j.expandDoc(ec, nil, j.emitBatch); err != nil {
+			j.done = true // a FROM-less JSON_TABLE expands exactly once
+		} else {
+			r, ok, err := j.leftCur.next(ec)
+			if err != nil {
 				putBatch(out)
 				return nil, err
 			}
-			continue
-		}
-		row, ok, err := j.left.Next(ec)
-		if err != nil {
-			putBatch(out)
-			return nil, err
-		}
-		if !ok {
-			j.done = true
-			continue
+			if !ok {
+				j.done = true
+				continue
+			}
+			row = r
 		}
 		if err := j.expandDoc(ec, row, j.emitBatch); err != nil {
 			putBatch(out)
@@ -574,7 +541,7 @@ func (j *jsonTableOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 }
 
 // batchEmit merges one expansion row and appends it to the batch on
-// loan from NextBatch (the pre-bound emit target of batch mode).
+// loan from NextBatch (the pre-bound emit target).
 func (j *jsonTableOp) batchEmit(scratch []jsondom.Value) error {
 	j.bsink.add(j.mergeRow(scratch))
 	return nil
@@ -643,7 +610,7 @@ func newAggFastSpecs(g *groupAggOp, scan *tableScan) ([]aggFastSpec, bool) {
 		default:
 			return nil, false
 		}
-		// sum/avg over a string vector would need the row path's
+		// sum/avg over a string vector would need the generic build's
 		// numeric-coercion semantics; decline
 		if (kind == aggFastSum || kind == aggFastAvg) && !vec.IsNumber {
 			return nil, false
@@ -813,8 +780,8 @@ func (g *groupAggOp) buildFast(ec *ExecCtx) (ok bool, err error) {
 			out = append(out, specs[i].result(&grp.states[i]))
 		}
 		g.groups = append(g.groups, out)
-		scan.rowsOut++
 	}
+	scan.creditSelected(rows)
 	mode := "float-bits"
 	if !keyVec.IsNumber {
 		mode = "dict-codes"
@@ -824,7 +791,7 @@ func (g *groupAggOp) buildFast(ec *ExecCtx) (ok bool, err error) {
 	return true, nil
 }
 
-// result finalizes one accumulator with the row path's semantics:
+// result finalizes one accumulator with the generic build's semantics:
 // NULL for empty sum/avg/min/max, numeric normalization via
 // NumberFromFloat so 1 and 1.0 render identically.
 func (sp *aggFastSpec) result(st *fastAggState) jsondom.Value {
@@ -918,7 +885,7 @@ func keyAt(vec *imc.Vector, id int) (key uint64, ok bool) {
 }
 
 // build materializes the right input into the code-keyed hash table.
-// NULL keys never participate, matching the row path.
+// NULL keys never participate, matching the generic build.
 func (jf *joinFast) build(ec *ExecCtx) error {
 	jf.table = make(map[uint64][][]jsondom.Value)
 	for {
@@ -932,6 +899,7 @@ func (jf *joinFast) build(ec *ExecCtx) error {
 		if !more {
 			break
 		}
+		jf.rscan.creditSelected(1)
 		key, okKey := keyAt(jf.rvec, id)
 		if !okKey {
 			continue
@@ -940,7 +908,6 @@ func (jf *joinFast) build(ec *ExecCtx) error {
 		if err != nil {
 			return err
 		}
-		jf.rscan.rowsOut++
 		n := rowBytes(row) + 8
 		if err := ec.grow(n); err != nil {
 			return err
@@ -952,10 +919,10 @@ func (jf *joinFast) build(ec *ExecCtx) error {
 	return nil
 }
 
-// next produces the join output rows: probe keys are read straight
+// step produces the next join output row: probe keys are read straight
 // from the left vector, and a left row is materialized only once a
 // match (or outer-join miss) makes it observable.
-func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
+func (jf *joinFast) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 	h := jf.h
 	for {
 		// inner-join probes can skip arbitrarily many key misses
@@ -991,6 +958,7 @@ func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			return nil, false, nil
 		}
 		jf.probed++
+		jf.lscan.creditSelected(1)
 		key, okKey := keyAt(jf.lvec, id)
 		var matches [][]jsondom.Value
 		if okKey {
@@ -1004,7 +972,6 @@ func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			jf.lscan.rowsOut++
 			out := h.arena.alloc(len(row) + len(h.right.Schema()))
 			copy(out, row)
 			for i := len(row); i < len(out); i++ {
@@ -1017,7 +984,6 @@ func (jf *joinFast) next(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		jf.lscan.rowsOut++
 		jf.leftRow = row
 		jf.pending, jf.pi = matches, 0
 	}

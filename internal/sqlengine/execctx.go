@@ -43,33 +43,23 @@ var queryIDSeq atomic.Uint64
 // otherwise operators carry a nil *OpStats and every method is a
 // no-op, keeping the regular execution path free of timer calls.
 type OpStats struct {
-	Rows    int64         // rows returned by Next
-	Batches int64         // Next invocations (row-at-a-time: batches == calls)
-	Wall    time.Duration // cumulative wall time inside Next (children included)
+	Rows    int64         // rows delivered to the parent
+	Batches int64         // batches they were delivered in
+	Wall    time.Duration // cumulative wall time inside NextBatch (children included)
 }
 
-// observe records one Next call: its duration and whether it produced
-// a row. Safe on a nil receiver.
-func (s *OpStats) observe(d time.Duration, gotRow bool) {
-	if s == nil {
-		return
-	}
-	s.Wall += d
-	s.Batches++
-	if gotRow {
-		s.Rows++
-	}
-}
-
-// observeBatch records one NextBatch call delivering n rows (n == 0
-// for the end-of-input call). Safe on a nil receiver.
+// observeBatch records one NextBatch call delivering n rows; the
+// end-of-input call (n == 0) adds time but no batch. Safe on a nil
+// receiver.
 func (s *OpStats) observeBatch(d time.Duration, n int) {
 	if s == nil {
 		return
 	}
 	s.Wall += d
-	s.Batches++
-	s.Rows += int64(n)
+	if n > 0 {
+		s.Batches++
+		s.Rows += int64(n)
+	}
 }
 
 // ExecCtx is the execution context shared by all operators of one

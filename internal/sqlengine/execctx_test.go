@@ -169,17 +169,24 @@ func (c *cancelAtPoll) Err() error {
 // A budget denial or a cancellation that strikes while the workers are
 // mid-partition (some parked on full channels, some still scanning)
 // must surface as the typed error, never a panic, with every worker
-// joined by the time the statement returns.
+// joined by the time the statement returns. The last case puts a
+// filter and a projection above the join: all three pull batches, so
+// the cancellation has to travel through their NextBatch loops too.
 func TestBreakersOverParallelScanFaults(t *testing.T) {
 	e := newNumEngine(t, 5000)
 	e.Planner.ParallelDegree = 4
 	e.Planner.ParallelMinRows = 1
-	queries := []struct{ op, sql string }{
-		{"GroupAgg", `select n, count(*) from nums where n >= 0 group by n`},
+	queries := []struct {
+		op, sql string
+		rows    int
+	}{
+		{"GroupAgg", `select n, count(*) from nums where n >= 0 group by n`, 5000},
 		// both join inputs are fleets, open at the same time
 		{"HashJoin", `select a.n from (select n from nums where n >= 0) a
-			join (select n from nums where n < 5000) b on a.n = b.n`},
-		{"Sort", `select n from nums where n >= 0 order by n desc`},
+			join (select n from nums where n < 5000) b on a.n = b.n`, 5000},
+		{"Sort", `select n from nums where n >= 0 order by n desc`, 5000},
+		{"Filter", `select a.n + 1 from (select n from nums where n >= 0) a
+			join (select n from nums where n < 5000) b on a.n = b.n where mod(b.n, 3) = 0`, 1667},
 	}
 	for _, q := range queries {
 		plan := explainPlan(t, e, "explain "+q.sql)
@@ -206,8 +213,8 @@ func TestBreakersOverParallelScanFaults(t *testing.T) {
 			}
 		}
 		e.Planner.MemoryBudget = 0
-		if r := mustExec(t, e, q.sql); len(r.Rows) != 5000 {
-			t.Errorf("%s after the faults: %d rows, want 5000", q.op, len(r.Rows))
+		if r := mustExec(t, e, q.sql); len(r.Rows) != q.rows {
+			t.Errorf("%s after the faults: %d rows, want %d", q.op, len(r.Rows), q.rows)
 		}
 	}
 	waitGoroutines(t, baseline)

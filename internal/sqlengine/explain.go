@@ -1,8 +1,9 @@
 // EXPLAIN [ANALYZE]: renders the operator tree of a SELECT plan. With
-// ANALYZE the plan is opened and drained first under a stats-collecting
-// ExecCtx, so every line carries the operator's rows-out, Next-call
-// count, and cumulative wall time (children included, as is
-// conventional for EXPLAIN ANALYZE output).
+// ANALYZE the plan first runs through drainSource — the same loop
+// Query executes it with — under a stats-collecting ExecCtx, so every
+// line carries the operator's rows-out, the batches they came in, and
+// cumulative wall time (children included, as is conventional for
+// EXPLAIN ANALYZE output).
 
 package sqlengine
 
@@ -20,30 +21,8 @@ func (e *Engine) runExplain(ctx context.Context, t *ExplainStmt, params []jsondo
 	if err != nil {
 		return nil, err
 	}
-	ec := newExecCtx(ctx, e.Planner.MemoryBudget)
 	if t.Analyze {
-		ec.collect = true
-		if err := src.Open(ec); err != nil {
-			// join any workers a partially-opened subtree spawned
-			src.Close() //nolint:errcheck // surfacing the Open error
-			return nil, err
-		}
-		ticks := 0
-		for {
-			if err := ec.tickErr(&ticks); err != nil {
-				src.Close() //nolint:errcheck
-				return nil, err
-			}
-			_, ok, err := src.Next(ec)
-			if err != nil {
-				src.Close() //nolint:errcheck
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-		}
-		if err := src.Close(); err != nil {
+		if _, _, _, err := e.drainSource(ctx, src, nil, true, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -48,7 +48,7 @@ var (
 
 // Scan and memory-accounting metrics.
 var (
-	mScanRows       = metrics.NewCounter("sql.scan.rows", "rows emitted by table scans (before residual filters)")
+	mScanRows       = metrics.NewCounter("sql.scan.rows", "rows selected by table scans, before residual filters (rows the code-space fast paths consume by id included)")
 	mParScans       = metrics.NewCounter("sql.scan.parallel.fanout", "parallel partitioned scans started")
 	mParWorkers     = metrics.NewCounter("sql.scan.parallel.workers", "scan worker goroutines launched")
 	mParRows        = metrics.NewCounter("sql.scan.parallel.rows", "rows delivered by parallel scan workers (after worker-side filters)")
@@ -69,10 +69,8 @@ var (
 // batch (1/batchSize of the row rate), so these are direct atomic adds
 // rather than Close-flushed accumulators.
 var (
-	mBatchBatches     = metrics.NewCounter("sql.batch.batches", "row batches produced by batch-mode table scans")
-	mBatchRows        = metrics.NewCounter("sql.batch.rows", "rows delivered inside scan-produced batches")
-	mBatchAdaptedRows = metrics.NewCounter("sql.batch.adapted_rows", "rows bridged through the row-to-batch adapter (input could not batch natively)")
-	mAggFastRows      = metrics.NewCounter("sql.batch.agg_rows", "rows aggregated by the code-space grouped-aggregation fast path")
+	mBatchBatches = metrics.NewCounter("sql.batch.batches", "row batches produced by table scans")
+	mAggFastRows  = metrics.NewCounter("sql.batch.agg_rows", "rows aggregated by the code-space grouped-aggregation fast path")
 )
 
 // JSON_TABLE expansion metrics, flushed operator-locally at Close like
@@ -118,7 +116,7 @@ type slowQueryConfig struct {
 // text, the phase trace, and — for SELECTs — the EXPLAIN ANALYZE
 // operator tree. While a log is installed, per-operator stats
 // collection is enabled for every statement (the same timers EXPLAIN
-// ANALYZE uses), which costs two clock reads per operator Next call.
+// ANALYZE uses), which costs two clock reads per operator NextBatch call.
 func (e *Engine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,9 +3,9 @@
 // large enough: the row-id space is split into K contiguous
 // partitions, one worker goroutine scans each partition through a
 // clone of the scan, evaluates the residual WHERE locally, and sends
-// surviving rows over a bounded channel. The merge drains the
-// per-worker channels in partition order, reproducing the serial row
-// order exactly.
+// batches of surviving rows over a bounded channel. The merge drains
+// the per-worker channels in partition order, reproducing the serial
+// row order exactly.
 //
 // Workers share no mutable state: each owns its scan clone, its
 // evaluation context, and its cancellation tick counter. The residual
@@ -22,25 +22,20 @@ import (
 	"time"
 
 	"repro/internal/imc"
-	"repro/internal/jsondom"
 )
 
 // defaultParallelMinRows is the table size below which a parallel scan
 // is not worth the goroutine and channel overhead.
 const defaultParallelMinRows = 512
 
-// parChanCap bounds each worker's output channel, limiting the rows
-// buffered ahead of the consumer.
-const parChanCap = 64
-
-// parBatchChanCap bounds the channels when workers deliver whole
-// batches: the same cap would buffer batchSize times more rows.
+// parBatchChanCap bounds each worker's output channel, limiting the
+// batches (of up to batchSize rows each) buffered ahead of the
+// consumer.
 const parBatchChanCap = 4
 
+// parRow is one merge input: a whole batch, whose ownership transfers
+// to the consumer, or the worker's terminal error.
 type parRow struct {
-	row []jsondom.Value
-	// b carries a whole batch when the template scan runs in batch
-	// delivery mode (batchOut); ownership transfers to the consumer.
 	b   *Batch
 	err error
 }
@@ -65,11 +60,9 @@ type parallelScanOp struct {
 	// only after Close has joined the worker goroutines).
 	workers []*tableScan
 	// held is the batch most recently received from a worker, owned by
-	// the merge side: Next drains it row by row, NextBatch hands it to
-	// the consumer and recycles it on the following call.
-	held    *Batch
-	heldPos int
-	ticks   int
+	// the merge side: NextBatch hands it to the consumer and recycles it
+	// on the following call.
+	held *Batch
 }
 
 // parallelizeScan decides whether the FROM source plus residual WHERE
@@ -108,13 +101,13 @@ func (e *Engine) parallelizeScan(src rowSource, where Expr, env *planEnv) rowSou
 func (p *parallelScanOp) Schema() Schema { return p.template.Schema() }
 
 // scanPartitions computes the worker row-id ranges for a scan
-// template. For a batch-mode template they are aligned to
+// template. For a template with vector predicates they are aligned to
 // imc.ChunkSize boundaries so no chunk is split between workers —
 // every worker's lo lands on a chunk start and its kernels, zone maps,
 // and selection bitmaps line up with the vector's chunk grid.
 // Otherwise the table's default equal split.
 func scanPartitions(scan *tableScan, degree int) [][2]int {
-	if !scan.batchMode {
+	if scan.bsrc == nil {
 		return scan.tab.Partitions(degree)
 	}
 	n := scan.tab.MaxRowID()
@@ -143,21 +136,17 @@ func (p *parallelScanOp) Open(ec *ExecCtx) error {
 	p.closeOnce = sync.Once{}
 	p.chans, p.cur = nil, 0
 	p.workers = nil
-	p.held, p.heldPos = nil, 0
+	p.held = nil
 	parts := scanPartitions(p.template, p.degree)
 	if len(parts) == 0 {
 		return nil
 	}
 	mParScans.Inc()
 	mParWorkers.Add(int64(len(parts)))
-	chanCap := parChanCap
-	if p.template.batchOut {
-		chanCap = parBatchChanCap
-	}
 	p.chans = make([]chan parRow, len(parts))
 	p.wg.Add(len(parts))
 	for i, part := range parts {
-		p.chans[i] = make(chan parRow, chanCap)
+		p.chans[i] = make(chan parRow, parBatchChanCap)
 		scan := p.template.cloneForRange(part[0], part[1])
 		p.workers = append(p.workers, scan)
 		// workers share the residual filter expression: its leaves are
@@ -169,7 +158,11 @@ func (p *parallelScanOp) Open(ec *ExecCtx) error {
 	return nil
 }
 
-// worker scans one partition into its own channel, closed on exit.
+// worker scans one partition into its own channel, closed on exit. The
+// scan's batches cross the channel whole and ownership transfers — the
+// scan detaches each batch before the send, so it never recycles what
+// the consumer may still hold; a residual filter compacts survivors
+// into a worker-owned batch first (and recycles the scan's).
 func (p *parallelScanOp) worker(ec *ExecCtx, scan *tableScan, pred Expr, out chan parRow) {
 	defer p.wg.Done()
 	defer close(out)
@@ -184,55 +177,8 @@ func (p *parallelScanOp) worker(ec *ExecCtx, scan *tableScan, pred Expr, out cha
 	if pred != nil {
 		ctx = p.env.bindCtx(scan.Schema(), pred)
 	}
-	if scan.batchOut {
-		p.workerBatches(ec, scan, ctx, pred, out, &delivered)
-		return
-	}
-	ticks := 0
-	for {
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		// each worker owns its tick counter (execctx.go): the shared
-		// ExecCtx is only read, keeping workers race-free
-		if err := ec.tickErr(&ticks); err != nil {
-			p.send(out, parRow{err: err})
-			return
-		}
-		row, ok, err := scan.Next(ec)
-		if err != nil {
-			p.send(out, parRow{err: err})
-			return
-		}
-		if !ok {
-			return
-		}
-		if pred != nil {
-			ctx.row = row
-			v, err := evalExpr(ctx, pred)
-			if err != nil {
-				p.send(out, parRow{err: err})
-				return
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		if !p.send(out, parRow{row: row}) {
-			return
-		}
-		delivered++
-	}
-}
-
-// workerBatches is the worker loop under batch delivery: the scan's
-// batches cross the channel whole. Ownership transfers — the scan
-// detaches each batch before the send, so it never recycles what the
-// consumer may still hold; a residual filter compacts survivors into a
-// worker-owned batch first (and recycles the scan's).
-func (p *parallelScanOp) workerBatches(ec *ExecCtx, scan *tableScan, ctx *evalCtx, pred Expr, out chan parRow, delivered *int64) {
+	// each worker owns its tick counter (execctx.go): the shared
+	// ExecCtx is only read, keeping workers race-free
 	ticks := 0
 	for {
 		select {
@@ -281,7 +227,7 @@ func (p *parallelScanOp) workerBatches(ec *ExecCtx, scan *tableScan, ctx *evalCt
 			putBatch(b)
 			return
 		}
-		*delivered += n
+		delivered += n
 	}
 }
 
@@ -296,43 +242,6 @@ func (p *parallelScanOp) send(ch chan parRow, r parRow) bool {
 	}
 }
 
-func (p *parallelScanOp) Next(ec *ExecCtx) (out []jsondom.Value, ok bool, err error) {
-	if p.st != nil {
-		t0 := time.Now()
-		defer func() { p.st.observe(time.Since(t0), ok) }()
-	}
-	for {
-		if err := ec.tickErr(&p.ticks); err != nil {
-			return nil, false, err
-		}
-		if p.held != nil {
-			if p.heldPos < p.held.Len() {
-				row := p.held.Row(p.heldPos)
-				p.heldPos++
-				return row, true, nil
-			}
-			putBatch(p.held)
-			p.held = nil
-		}
-		r, more := p.recv()
-		if !more {
-			return nil, false, nil
-		}
-		if r.err != nil {
-			return nil, false, r.err
-		}
-		if r.b != nil {
-			p.held, p.heldPos = r.b, 0
-			continue
-		}
-		return r.row, true, nil
-	}
-}
-
-// batchReady mirrors the template: batch delivery is a plan-time
-// property, so the consumer can commit to NextBatch before Open.
-func (p *parallelScanOp) batchReady() bool { return p.template.batchOut }
-
 // NextBatch hands worker batches to the consumer in merge order,
 // recycling the previous one per the producer contract.
 func (p *parallelScanOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
@@ -342,26 +251,20 @@ func (p *parallelScanOp) NextBatch(ec *ExecCtx, max int) (b *Batch, err error) {
 	}
 	putBatch(p.held)
 	p.held = nil
-	for {
-		if err := ec.tickErr(&p.ticks); err != nil {
-			return nil, err
-		}
-		r, more := p.recv()
-		if !more {
-			return nil, nil
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.b == nil {
-			continue // row-mode output cannot appear under batchOut; skip defensively
-		}
-		if max > 0 {
-			r.b.truncate(max)
-		}
-		p.held = r.b
-		return r.b, nil
+	// no tick here: the workers poll the context and deliver the
+	// cancellation as their terminal error
+	r, more := p.recv()
+	if !more {
+		return nil, nil
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if max > 0 {
+		r.b.truncate(max)
+	}
+	p.held = r.b
+	return r.b, nil
 }
 
 // recv pulls the next merge input from the per-worker channels in
@@ -412,13 +315,7 @@ func (p *parallelScanOp) opName() string {
 	if p.filter != nil {
 		name += " filtered"
 	}
-	if p.template.batchMode {
-		name += " batch"
-	}
-	if n := len(p.template.vecFilters) + len(p.template.vecSpecs) + len(p.template.batchKernels); n > 0 {
-		name += fmt.Sprintf(" vec-filters=%d", n)
-	}
-	return name + ")"
+	return name + p.template.vecSuffix() + ")"
 }
 func (p *parallelScanOp) opChildren() []rowSource { return nil }
 func (p *parallelScanOp) opStat() *OpStats        { return p.st }

@@ -69,24 +69,22 @@ func (s *tableScan) clonePlan(env *planEnv) rowSource {
 	return &tableScan{
 		planEstimate: s.planEstimate,
 		tab:          s.tab, alias: s.alias, sch: s.sch, needVC: s.needVC,
-		cols: s.cols, sub: s.sub, vecFilters: s.vecFilters,
-		vecSpecs: s.vecSpecs, rowIDsFn: s.rowIDsFn,
-		batchMode: s.batchMode, batchKernels: s.batchKernels,
-		batchLabels: s.batchLabels, bsrc: s.bsrc, batchOut: s.batchOut,
+		cols: s.cols, sub: s.sub, vecSpecs: s.vecSpecs, rowIDsFn: s.rowIDsFn,
+		batchKernels: s.batchKernels, batchLabels: s.batchLabels, bsrc: s.bsrc,
 		lo: s.lo, hi: s.hi, samplePct: s.samplePct, env: env,
 	}
 }
 
 func (f *filterOp) clonePlan(env *planEnv) rowSource {
-	return &filterOp{planEstimate: f.planEstimate, in: clonePlanTree(f.in, env), pred: f.pred, env: env, batch: f.batch}
+	return &filterOp{planEstimate: f.planEstimate, in: clonePlanTree(f.in, env), pred: f.pred, env: env}
 }
 
 func (p *projectOp) clonePlan(env *planEnv) rowSource {
-	return &projectOp{planEstimate: p.planEstimate, in: clonePlanTree(p.in, env), exprs: p.exprs, sch: p.sch, env: env, batch: p.batch}
+	return &projectOp{planEstimate: p.planEstimate, in: clonePlanTree(p.in, env), exprs: p.exprs, sch: p.sch, env: env}
 }
 
 func (l *limitOp) clonePlan(env *planEnv) rowSource {
-	return &limitOp{planEstimate: l.planEstimate, in: clonePlanTree(l.in, env), limit: l.limit, batch: l.batch}
+	return &limitOp{planEstimate: l.planEstimate, in: clonePlanTree(l.in, env), limit: l.limit}
 }
 
 func (j *jsonTableOp) clonePlan(env *planEnv) rowSource {
@@ -95,7 +93,7 @@ func (j *jsonTableOp) clonePlan(env *planEnv) rowSource {
 		left = clonePlanTree(j.left, env)
 	}
 	return &jsonTableOp{planEstimate: j.planEstimate, left: left, ref: j.ref, sch: j.sch, env: env,
-		preFilters: j.preFilters, preSpecs: j.preSpecs, batch: j.batch}
+		preFilters: j.preFilters, preSpecs: j.preSpecs}
 }
 
 func (c *crossJoin) clonePlan(env *planEnv) rowSource {
@@ -108,8 +106,7 @@ func (h *hashJoin) clonePlan(env *planEnv) rowSource {
 		planEstimate: h.planEstimate,
 		left:         clonePlanTree(h.left, env), right: clonePlanTree(h.right, env),
 		leftKeys: h.leftKeys, rightKeys: h.rightKeys, residual: h.residual,
-		leftOuter: h.leftOuter, env: env, sch: h.sch, batch: h.batch,
-		buildLeft: h.buildLeft,
+		leftOuter: h.leftOuter, env: env, sch: h.sch, buildLeft: h.buildLeft,
 	}
 }
 
@@ -118,15 +115,15 @@ func (h *hashJoin) clonePlan(env *planEnv) rowSource {
 // constructor again, which would re-append synthetic columns.
 func (g *groupAggOp) clonePlan(env *planEnv) rowSource {
 	return &groupAggOp{planEstimate: g.planEstimate, in: clonePlanTree(g.in, env), groupBy: g.groupBy,
-		aggs: g.aggs, env: env, implicitGroup: g.implicitGroup, sch: g.sch, batch: g.batch}
+		aggs: g.aggs, env: env, implicitGroup: g.implicitGroup, sch: g.sch}
 }
 
 func (w *windowOp) clonePlan(env *planEnv) rowSource {
-	return &windowOp{planEstimate: w.planEstimate, in: clonePlanTree(w.in, env), funcs: w.funcs, env: env, sch: w.sch, batch: w.batch}
+	return &windowOp{planEstimate: w.planEstimate, in: clonePlanTree(w.in, env), funcs: w.funcs, env: env, sch: w.sch}
 }
 
 func (s *sortOp) clonePlan(env *planEnv) rowSource {
-	return &sortOp{planEstimate: s.planEstimate, in: clonePlanTree(s.in, env), items: s.items, env: env, batch: s.batch}
+	return &sortOp{planEstimate: s.planEstimate, in: clonePlanTree(s.in, env), items: s.items, env: env}
 }
 
 func (w *aliasWrap) clonePlan(env *planEnv) rowSource {

@@ -1,9 +1,12 @@
 package sqlengine
 
-// End-to-end tests for the batch-vectorized IMC scan path: differential
-// agreement between the batch plan, the row-at-a-time vector plan, and
-// the unoptimized plan; EXPLAIN ANALYZE chunk statistics; and the
-// imc.scan.* / imc.bytes.* metrics.
+// End-to-end tests for the batch-vectorized IMC scan path: kernels
+// bound at Open from prepared-statement parameters, EXPLAIN ANALYZE
+// chunk statistics, and the imc.scan.* / imc.bytes.* metrics. The
+// differential query list that used to live here (NULL stretch,
+// reversed bounds, dictionary misses, type mismatch, bind at Open) is
+// in testdata/corpus/spine.sql, checked against digests frozen from the
+// unoptimized row-at-a-time plan.
 
 import (
 	"fmt"
@@ -14,25 +17,33 @@ import (
 	"repro/internal/jsondom"
 )
 
-// newBatchEngine loads enough docs to span several imc.ChunkSize chunks
-// with a number VC and a string VC. The second chunk (rows 1024..2047)
+// batchDocs is the size of the batch-spine fixture table t: three
+// chunks, the trailing one partial.
+const batchDocs = 2*imc.ChunkSize + 552
+
+// batchDoc renders document i of t. The second chunk (rows 1024..2047)
 // has no "n" member at all, so the number vector carries an all-null
 // chunk that zone maps can skip wholesale.
+func batchDoc(i int) string {
+	if i >= imc.ChunkSize && i < 2*imc.ChunkSize {
+		return fmt.Sprintf(`{"s":"w%03d"}`, i%7)
+	}
+	return fmt.Sprintf(`{"n":%d,"s":"w%03d"}`, i, i%7)
+}
+
+// newBatchEngine loads t (batchDoc) as JSON text with a number VC and a
+// string VC, both populated into an attached IMC store — the same table
+// the corpus engines carry, so corpus digests apply to it.
 func newBatchEngine(t *testing.T) *Engine {
 	t.Helper()
-	n := 2*imc.ChunkSize + 552 // 2600: three chunks, partial trailing chunk
 	e := New()
 	mustExec(t, e, `create table t (did number, jdoc varchar2(0) check (jdoc is json))`)
 	ins, err := e.Prepare(`insert into t values (?, ?)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		doc := fmt.Sprintf(`{"n":%d,"s":"w%03d"}`, i, i%7)
-		if i >= imc.ChunkSize && i < 2*imc.ChunkSize {
-			doc = fmt.Sprintf(`{"s":"w%03d"}`, i%7) // null stretch for vn
-		}
-		if _, err := ins.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(doc)); err != nil {
+	for i := 0; i < batchDocs; i++ {
+		if _, err := ins.Exec(jsondom.NumberFromInt(int64(i)), jsondom.String(batchDoc(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,73 +59,6 @@ func newBatchEngine(t *testing.T) *Engine {
 	}
 	e.AttachIMC("t", mem)
 	return e
-}
-
-// TestVectorizedBatchDifferential runs the same query set under the
-// batch-vectorized plan, the row-at-a-time vector plan, and the fully
-// unoptimized plan, and requires identical result sets from all three —
-// including NULL-stretch semantics, reversed BETWEEN bounds, operands
-// absent from the dictionary, and a type-mismatched residual.
-func TestVectorizedBatchDifferential(t *testing.T) {
-	e := newBatchEngine(t)
-	queries := []struct {
-		sql    string
-		params []jsondom.Value
-		want   int // -1: only cross-mode agreement is checked
-	}{
-		{sql: `select did from t where vn = 7`, want: 1},
-		{sql: `select did from t where vn between 100 and 199`, want: 100},
-		// reversed bounds match nothing in every plan
-		{sql: `select did from t where vn between 199 and 100`, want: 0},
-		{sql: `select did from t where vn >= 2500`, want: 100},
-		// the all-null stretch (rows 1024..2047) never matches
-		{sql: `select did from t where vn < 1100`, want: 1024},
-		{sql: `select did from t where vn != 0`, want: -1},
-		{sql: `select did from t where vs = 'w003'`, want: -1},
-		{sql: `select did from t where vs between 'w002' and 'w004'`, want: -1},
-		// operand absent from the dictionary: empty code range
-		{sql: `select did from t where vs = 'nosuchword'`, want: 0},
-		{sql: `select did from t where vs > 'w900'`, want: 0},
-		// type mismatch declines the kernel and stays a residual
-		{sql: `select did from t where vn = 'x'`, want: -1},
-		// pushable conjunct + residual conjunct
-		{sql: `select did from t where vn between 2048 and 2105 and mod(did, 2) = 0`, want: 29},
-		// bind parameters resolve at Open, after kernel compilation
-		{sql: `select did from t where vn between ? and ?`,
-			params: []jsondom.Value{jsondom.Number("300"), jsondom.Number("310")}, want: 11},
-	}
-	type mode struct {
-		label string
-		set   func(*Engine)
-	}
-	modes := []mode{
-		{"batch", func(e *Engine) {}},
-		{"row-vec", func(e *Engine) { e.Planner.DisableVectorizedScan = true }},
-		{"unoptimized", func(e *Engine) {
-			e.Planner.DisableVectorizedScan = true
-			e.Planner.DisableVectorFilter = true
-			e.Planner.DisableVCRewrite = true
-		}},
-	}
-	results := make([][]string, len(modes))
-	for mi, m := range modes {
-		e.Planner = PlannerOptions{}
-		m.set(e)
-		for _, q := range queries {
-			r := mustExec(t, e, q.sql, q.params...)
-			if q.want >= 0 && len(r.Rows) != q.want {
-				t.Errorf("%s %s: got %d rows, want %d", m.label, q.sql, len(r.Rows), q.want)
-			}
-			results[mi] = append(results[mi], fmt.Sprint(r.Rows))
-		}
-	}
-	for mi := 1; mi < len(modes); mi++ {
-		for qi := range queries {
-			if results[0][qi] != results[mi][qi] {
-				t.Errorf("%s: %s diverges from batch plan", modes[mi].label, queries[qi].sql)
-			}
-		}
-	}
 }
 
 // TestVectorizedBatchPrepared proves a cached plan compiled before any
@@ -142,6 +86,11 @@ func TestVectorizedBatchPrepared(t *testing.T) {
 		if got := string(r.Rows[0][0].(jsondom.Number)); got != c.want {
 			t.Errorf("between %d and %d: count = %s, want %s", c.lo, c.hi, got, c.want)
 		}
+	}
+	// the bound form of a corpus case returns that case's rows
+	r := mustExec(t, e, `select did from t where vn between ? and ?`, jsondom.Number("300"), jsondom.Number("310"))
+	if rowsDigest(r.Rows) != corpusDigest(t, "spine.sql", "scan_bound_at_open") {
+		t.Errorf("bound between 300 and 310 diverges from the corpus digest: %s", clip(fmt.Sprint(r.Rows)))
 	}
 }
 
