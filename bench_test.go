@@ -255,81 +255,6 @@ func BenchmarkFig5Prepared(b *testing.B) {
 	})
 }
 
-// BenchmarkCostAblation re-runs the Figure 3/5/6 query suites with the
-// cost-based planner on and off (EXPERIMENTS.md, "Cost-based planner
-// ablation"). The paper's workloads carry few multi-conjunct
-// predicates, so parity — not speedup — is the expected shape here:
-// the cost layer must not regress the figures it rides along with.
-// The skewed-selectivity dataset where conjunct reordering wins is
-// measured separately by BenchmarkSkewedConjuncts in
-// internal/sqlengine.
-func BenchmarkCostAblation(b *testing.B) {
-	modes := []struct {
-		name string
-		off  bool
-	}{{"cost=on", false}, {"cost=off", true}}
-	for _, mode := range modes {
-		b.Run("Fig3OSON/"+mode.name, func(b *testing.B) {
-			env, err := bench.SetupOLAP(bench.ModeOSON, 500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			env.Eng.Planner.DisableCostBasedPlanner = mode.off
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for qi := 0; qi < 9; qi++ {
-					if _, _, err := env.RunQuery(qi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-	for _, mode := range modes {
-		b.Run("Fig5OsonIMC/"+mode.name, func(b *testing.B) {
-			env, err := bench.SetupNoBench(1000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := env.EnableOSONIMC(); err != nil {
-				b.Fatal(err)
-			}
-			env.Eng.Planner.DisableCostBasedPlanner = mode.off
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, qi := range allNoBench {
-					if _, _, err := env.RunQuery(qi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-	for _, mode := range modes {
-		b.Run("Fig6VCIMC/"+mode.name, func(b *testing.B) {
-			env, err := bench.SetupNoBench(1000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := env.EnableOSONIMC(); err != nil {
-				b.Fatal(err)
-			}
-			if err := env.EnableVCIMC(); err != nil {
-				b.Fatal(err)
-			}
-			env.Eng.Planner.DisableCostBasedPlanner = mode.off
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, qi := range bench.Fig6Queries {
-					if _, _, err := env.RunQuery(qi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig7Insert measures the three insertion modes (Figure 7).
 func BenchmarkFig7Insert(b *testing.B) {
 	for i := 0; i < b.N; i++ {

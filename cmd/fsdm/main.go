@@ -24,11 +24,6 @@
 //	                            (default 100ms)
 //	-plan-cache n               LRU plan cache capacity; 0 disables
 //	                            caching (every statement hard-parses)
-//	-cost-based                 cost-based planning from DataGuide/IMC
-//	                            statistics (conjunct ordering, access
-//	                            path and join build-side selection);
-//	                            default true, false keeps the heuristic
-//	                            planner (EXPLAIN still shows est-rows)
 package main
 
 import (
@@ -84,12 +79,10 @@ func runSQL(args []string) {
 	slowLog := fs.String("slow-query-log", "", `write slow-query entries to this file ("stderr" for standard error)`)
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency at or above which a statement is logged")
 	planCache := fs.Int("plan-cache", 128, "LRU plan cache capacity; 0 disables caching")
-	costBased := fs.Bool("cost-based", true, "cost-based planning from DataGuide/IMC statistics (conjunct ordering, access-path and join build-side selection); false keeps the heuristic planner")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	eng := sqlengine.New()
 	eng.SetPlanCacheSize(*planCache)
-	eng.Planner.DisableCostBasedPlanner = !*costBased
 	if *slowLog != "" {
 		var w io.Writer = os.Stderr
 		if *slowLog != "stderr" {

@@ -329,57 +329,255 @@ var aggregateFuncs = map[string]bool{
 	"json_dataguideagg": true,
 }
 
-// hasAggregate reports whether the expression contains an aggregate
-// function call (not inside a window function).
-func hasAggregate(e Expr) bool {
-	switch t := e.(type) {
-	case *FuncCall:
-		if aggregateFuncs[t.Name] {
-			return true
-		}
-		for _, a := range t.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *BinOp:
-		return hasAggregate(t.L) || hasAggregate(t.R)
-	case *UnOp:
-		return hasAggregate(t.X)
-	case *IsNullExpr:
-		return hasAggregate(t.X)
-	case *InExpr:
-		if hasAggregate(t.X) {
-			return true
-		}
-		for _, a := range t.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case *LikeExpr:
-		return hasAggregate(t.X) || hasAggregate(t.Pattern)
-	case *BetweenExpr:
-		return hasAggregate(t.X) || hasAggregate(t.Lo) || hasAggregate(t.Hi)
+// walkExpr is the one read traversal over expressions: it calls visit
+// on e and then, unless visit returns false, on every sub-expression in
+// source order. Every planner analysis is a closure over it, so a node
+// kind added to this switch (and to rewriteExpr's) is handled by all of
+// them at once; TestTraversalCoversEveryExprField holds both switches to
+// every Expr-typed field.
+func walkExpr(e Expr, visit func(Expr) bool) {
+	if e == nil || !visit(e) {
+		return
 	}
-	return false
+	switch t := e.(type) {
+	case *BinOp:
+		walkExpr(t.L, visit)
+		walkExpr(t.R, visit)
+	case *UnOp:
+		walkExpr(t.X, visit)
+	case *IsNullExpr:
+		walkExpr(t.X, visit)
+	case *InExpr:
+		walkExpr(t.X, visit)
+		walkExprs(t.List, visit)
+	case *LikeExpr:
+		walkExpr(t.X, visit)
+		walkExpr(t.Pattern, visit)
+	case *BetweenExpr:
+		walkExpr(t.X, visit)
+		walkExpr(t.Lo, visit)
+		walkExpr(t.Hi, visit)
+	case *FuncCall:
+		walkExprs(t.Args, visit)
+	case *WindowFunc:
+		walkExprs(t.Args, visit)
+		walkOrder(t.OrderBy, visit)
+	case *JSONValueExpr:
+		walkExpr(t.Arg, visit)
+	case *JSONExistsExpr:
+		walkExpr(t.Arg, visit)
+	case *JSONQueryExpr:
+		walkExpr(t.Arg, visit)
+	case *JSONTextContainsExpr:
+		walkExpr(t.Arg, visit)
+	case *OSONExpr:
+		walkExpr(t.Arg, visit)
+	}
 }
 
-// hasWindow reports whether the expression contains a window function.
-func hasWindow(e Expr) bool {
-	switch t := e.(type) {
-	case *WindowFunc:
-		return true
-	case *BinOp:
-		return hasWindow(t.L) || hasWindow(t.R)
-	case *UnOp:
-		return hasWindow(t.X)
-	case *FuncCall:
-		for _, a := range t.Args {
-			if hasWindow(a) {
-				return true
-			}
+func walkExprs(xs []Expr, visit func(Expr) bool) {
+	for _, x := range xs {
+		walkExpr(x, visit)
+	}
+}
+
+func walkOrder(items []OrderItem, visit func(Expr) bool) {
+	for i := range items {
+		walkExpr(items[i].Expr, visit)
+	}
+}
+
+// walkSelect walks the expressions of one query level: select list,
+// WHERE, GROUP BY, HAVING, ORDER BY. With from set it also walks join
+// conditions and JSON_TABLE arguments and descends into FROM
+// subqueries.
+func walkSelect(s *SelectStmt, from bool, visit func(Expr) bool) {
+	for i := range s.Items {
+		walkExpr(s.Items[i].Expr, visit)
+	}
+	walkExpr(s.Where, visit)
+	walkExprs(s.GroupBy, visit)
+	walkExpr(s.Having, visit)
+	walkOrder(s.OrderBy, visit)
+	if from {
+		for _, f := range s.From {
+			walkFrom(f, visit)
 		}
 	}
-	return false
+}
+
+func walkFrom(f FromItem, visit func(Expr) bool) {
+	switch t := f.(type) {
+	case *SubqueryRef:
+		walkSelect(t.Query, true, visit)
+	case *JSONTableRef:
+		walkExpr(t.Arg, visit)
+	case *JoinRef:
+		walkFrom(t.Left, visit)
+		walkFrom(t.Right, visit)
+		walkExpr(t.On, visit)
+	}
+}
+
+// exprContains reports whether any node of e satisfies match.
+func exprContains(e Expr, match func(Expr) bool) (found bool) {
+	walkExpr(e, func(x Expr) bool {
+		found = found || match(x)
+		return !found
+	})
+	return found
+}
+
+func isAggregate(x Expr) bool {
+	f, ok := x.(*FuncCall)
+	return ok && aggregateFuncs[f.Name]
+}
+
+func isWindow(x Expr) bool {
+	_, ok := x.(*WindowFunc)
+	return ok
+}
+
+// hasAggregate reports whether the expression contains an aggregate
+// function call.
+func hasAggregate(e Expr) bool { return exprContains(e, isAggregate) }
+
+// hasWindow reports whether the expression contains a window function.
+func hasWindow(e Expr) bool { return exprContains(e, isWindow) }
+
+// dup returns p itself, or a shallow copy of it in copy mode.
+func dup[T any](p *T, copy bool) *T {
+	if !copy {
+		return p
+	}
+	c := *p
+	return &c
+}
+
+// rewriteExpr is the one rewriting traversal: it applies rw bottom-up,
+// reassigning every sub-expression field to rw's result. In copy mode
+// each interior node (and child slice) is cloned before its fields are
+// reassigned, so the input tree is left untouched and shares only its
+// leaves with the result.
+func rewriteExpr(e Expr, copy bool, rw func(Expr) Expr) Expr {
+	switch t := e.(type) {
+	case nil:
+		return nil
+	case *BinOp:
+		t = dup(t, copy)
+		t.L = rewriteExpr(t.L, copy, rw)
+		t.R = rewriteExpr(t.R, copy, rw)
+		e = t
+	case *UnOp:
+		t = dup(t, copy)
+		t.X = rewriteExpr(t.X, copy, rw)
+		e = t
+	case *IsNullExpr:
+		t = dup(t, copy)
+		t.X = rewriteExpr(t.X, copy, rw)
+		e = t
+	case *InExpr:
+		t = dup(t, copy)
+		t.X = rewriteExpr(t.X, copy, rw)
+		t.List = rewriteExprs(t.List, copy, rw)
+		e = t
+	case *LikeExpr:
+		t = dup(t, copy)
+		t.X = rewriteExpr(t.X, copy, rw)
+		t.Pattern = rewriteExpr(t.Pattern, copy, rw)
+		e = t
+	case *BetweenExpr:
+		t = dup(t, copy)
+		t.X = rewriteExpr(t.X, copy, rw)
+		t.Lo = rewriteExpr(t.Lo, copy, rw)
+		t.Hi = rewriteExpr(t.Hi, copy, rw)
+		e = t
+	case *FuncCall:
+		t = dup(t, copy)
+		t.Args = rewriteExprs(t.Args, copy, rw)
+		e = t
+	case *WindowFunc:
+		t = dup(t, copy)
+		t.Args = rewriteExprs(t.Args, copy, rw)
+		t.OrderBy = rewriteOrder(t.OrderBy, copy, rw)
+		e = t
+	case *JSONValueExpr:
+		t = dup(t, copy)
+		t.Arg = rewriteExpr(t.Arg, copy, rw)
+		e = t
+	case *JSONExistsExpr:
+		t = dup(t, copy)
+		t.Arg = rewriteExpr(t.Arg, copy, rw)
+		e = t
+	case *JSONQueryExpr:
+		t = dup(t, copy)
+		t.Arg = rewriteExpr(t.Arg, copy, rw)
+		e = t
+	case *JSONTextContainsExpr:
+		t = dup(t, copy)
+		t.Arg = rewriteExpr(t.Arg, copy, rw)
+		e = t
+	case *OSONExpr:
+		t = dup(t, copy)
+		t.Arg = rewriteExpr(t.Arg, copy, rw)
+		e = t
+	}
+	return rw(e)
+}
+
+// copyExpr returns a deep copy of e (leaves shared).
+func copyExpr(e Expr) Expr {
+	return rewriteExpr(e, true, func(x Expr) Expr { return x })
+}
+
+func rewriteExprs(xs []Expr, copy bool, rw func(Expr) Expr) []Expr {
+	if copy {
+		xs = append([]Expr(nil), xs...)
+	}
+	for i := range xs {
+		xs[i] = rewriteExpr(xs[i], copy, rw)
+	}
+	return xs
+}
+
+func rewriteOrder(items []OrderItem, copy bool, rw func(Expr) Expr) []OrderItem {
+	if copy {
+		items = append([]OrderItem(nil), items...)
+	}
+	for i := range items {
+		items[i].Expr = rewriteExpr(items[i].Expr, copy, rw)
+	}
+	return items
+}
+
+// rewriteSelect applies rw in place to every expression of the
+// statement, join conditions and JSON_TABLE arguments included; deep
+// also rewrites FROM subqueries, otherwise only this query level is
+// touched (a subquery is planned, and rewritten, on its own).
+func rewriteSelect(stmt *SelectStmt, deep bool, rw func(Expr) Expr) {
+	for i := range stmt.Items {
+		stmt.Items[i].Expr = rewriteExpr(stmt.Items[i].Expr, false, rw)
+	}
+	for _, f := range stmt.From {
+		rewriteFrom(f, deep, rw)
+	}
+	stmt.Where = rewriteExpr(stmt.Where, false, rw)
+	rewriteExprs(stmt.GroupBy, false, rw)
+	stmt.Having = rewriteExpr(stmt.Having, false, rw)
+	rewriteOrder(stmt.OrderBy, false, rw)
+}
+
+func rewriteFrom(f FromItem, deep bool, rw func(Expr) Expr) {
+	switch t := f.(type) {
+	case *SubqueryRef:
+		if deep {
+			rewriteSelect(t.Query, true, rw)
+		}
+	case *JSONTableRef:
+		t.Arg = rewriteExpr(t.Arg, false, rw)
+	case *JoinRef:
+		rewriteFrom(t.Left, deep, rw)
+		rewriteFrom(t.Right, deep, rw)
+		t.On = rewriteExpr(t.On, false, rw)
+	}
 }

@@ -7,9 +7,10 @@
 // index-postings vs vectorized-scan access paths, and (c) pick the
 // hash-join build side. Every decision is order-preserving: a plan
 // chosen by the cost model returns bit-for-bit the rows (and row
-// order) of the heuristic plan, which the corpus differential test
-// pins. All estimates land on the operators as est-rows so EXPLAIN
-// can show estimate vs actual side by side.
+// order) of the plan written order would give, which the corpus
+// digests (frozen from a reference without it) pin. All estimates land
+// on the operators as est-rows so EXPLAIN can show estimate vs actual
+// side by side.
 
 package sqlengine
 
@@ -548,10 +549,8 @@ func scaleRows(n int64, sel float64) int64 {
 }
 
 // annotateEstimates walks a finished plan bottom-up, computing and
-// stamping each operator's est-rows. It runs regardless of
-// DisableCostBasedPlanner (estimates are observability; only the plan
-// *decisions* are gated), and abstains — leaving est-rows unset —
-// where no statistic resolves.
+// stamping each operator's est-rows. It abstains — leaving est-rows
+// unset — where no statistic resolves.
 func (cc *costCtx) annotateEstimates(s rowSource) (int64, bool) {
 	switch t := s.(type) {
 	case *tableScan:
@@ -712,8 +711,8 @@ func (cc *costCtx) joinEstimate(h *hashJoin, ln, rn int64) int64 {
 // planStatsFP fingerprints the sizes of the base tables a plan reads,
 // bucketed by power of two: a cached plan whose underlying tables have
 // doubled (or halved) since planning re-plans on next lookup, so
-// cost-based decisions track statistics drift without hooks on the
-// insert path.
+// the cost model's decisions track statistics drift without hooks on
+// the insert path.
 func planStatsFP(s rowSource) uint64 {
 	h := uint64(14695981039346656037)
 	fold := func(n int) {

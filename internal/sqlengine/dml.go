@@ -1,5 +1,7 @@
-// UPDATE and DELETE execution. DML detaches the target table's
-// in-memory store (its contents would be stale); search indexes stay
+// UPDATE and DELETE execution. Both read through the SELECT planner
+// (dmlRead) and only then write. The read scans the table, never the
+// attached in-memory store (scanTable), and the write detaches that
+// store (its contents would be stale); search indexes stay
 // attached — the persistent DataGuide is additive by design (§3.4) and
 // tombstoned row ids simply disappear from posting results.
 
@@ -11,45 +13,48 @@ import (
 	"strings"
 
 	"repro/internal/jsondom"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
-func (e *Engine) runDelete(ctx context.Context, t *DeleteStmt, params []jsondom.Value) (*Result, error) {
-	tab, ok := e.cat.Table(strings.ToLower(t.Table))
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %q", t.Table)
+// table resolves a statement's target table in the catalog.
+func (e *Engine) table(name string) (*store.Table, error) {
+	if tab, ok := e.cat.Table(strings.ToLower(name)); ok {
+		return tab, nil
 	}
-	ids, err := e.matchRows(ctx, tab, t.Where, params)
+	return nil, fmt.Errorf("sql: no such table %q", name)
+}
+
+func (e *Engine) runDelete(ctx context.Context, t *DeleteStmt, params []jsondom.Value, tr *metrics.Trace) (*Result, error) {
+	tab, err := e.table(t.Table)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := e.dmlRead(ctx, tab, t.Where, nil, params, tr)
 	if err != nil {
 		return nil, err
 	}
 	ticks := 0
-	for _, rid := range ids {
+	for _, r := range rows {
 		ticks++
 		if ticks%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		tab.Delete(rid)
+		tab.Delete(rowIDOf(r))
 	}
 	e.DetachIMC(tab.Name)
-	return affected(len(ids)), nil
+	return affected(len(rows)), nil
 }
 
-func (e *Engine) runUpdate(ctx context.Context, t *UpdateStmt, params []jsondom.Value) (*Result, error) {
-	tab, ok := e.cat.Table(strings.ToLower(t.Table))
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %q", t.Table)
-	}
-	cols := tab.Columns()
-	stored := 0
-	for _, c := range cols {
-		if !c.Virtual {
-			stored++
-		}
+func (e *Engine) runUpdate(ctx context.Context, t *UpdateStmt, params []jsondom.Value, tr *metrics.Trace) (*Result, error) {
+	tab, err := e.table(t.Table)
+	if err != nil {
+		return nil, err
 	}
 	// resolve target columns to stored positions
+	cols := tab.Columns()
 	targets := make([]int, len(t.Sets))
 	for i, set := range t.Sets {
 		pos, ok := tab.ColumnPos(set.Column)
@@ -58,138 +63,70 @@ func (e *Engine) runUpdate(ctx context.Context, t *UpdateStmt, params []jsondom.
 		}
 		targets[i] = pos
 	}
-	ids, err := e.matchRows(ctx, tab, t.Where, params)
+	rows, err := e.dmlRead(ctx, tab, t.Where, t.Sets, params, tr)
 	if err != nil {
 		return nil, err
 	}
-	env := &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
-	sch := tableSchema(tab, "")
-	ectx := env.bindCtx(sch)
-	for _, set := range t.Sets {
-		bindCols(set.Expr, sch, ectx.colIdx)
-	}
 	ticks := 0
-	for _, rid := range ids {
+	for _, r := range rows {
 		ticks++
 		if ticks%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
+		rid := rowIDOf(r)
 		old, ok := tab.Get(rid)
 		if !ok {
 			continue
 		}
-		full, err := materializeRow(tab, cols, old)
-		if err != nil {
-			return nil, err
-		}
-		ectx.row = full
-		newRow := make(store.Row, stored)
-		copy(newRow, old)
-		for i, set := range t.Sets {
-			v, err := evalExpr(ectx, set.Expr)
-			if err != nil {
-				return nil, err
-			}
-			newRow[targets[i]] = v
+		newRow := append(store.Row(nil), old...)
+		for i, pos := range targets {
+			newRow[pos] = r[1+i]
 		}
 		if err := tab.Update(rid, newRow); err != nil {
 			return nil, err
 		}
 	}
 	e.DetachIMC(tab.Name)
-	return affected(len(ids)), nil
+	return affected(len(rows)), nil
 }
 
-// matchRows evaluates the WHERE predicate over every visible row
-// (virtual columns included) and returns matching row ids. The scan
-// checks ctx cooperatively every cancelCheckInterval rows.
-func (e *Engine) matchRows(ctx context.Context, tab *store.Table, where Expr, params []jsondom.Value) ([]int, error) {
-	cols := tab.Columns()
-	var ids []int
-	var evalErr error
-	ticks := 0
-	tick := func() bool {
-		ticks++
-		if ticks%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				evalErr = err
-				return false
-			}
-		}
-		return true
+// dmlRead is the read half of UPDATE and DELETE: it plans
+// `select ROWID, <set expressions> from tab where <where>` through the
+// SELECT planner — the same access-path choice (minus the in-memory
+// store, which a write cannot trust: scanTable), ExecCtx, memory budget
+// and counters as a query, with virtual columns computed only where the
+// statement references them — and drains it, so every matching row id
+// and every new value is in hand before the first write. The
+// statement's expressions are copied first: planning rewrites its AST
+// in place, and a prepared UPDATE re-dispatches one parsed statement on
+// every run.
+func (e *Engine) dmlRead(ctx context.Context, tab *store.Table, where Expr, sets []SetClause, params []jsondom.Value, tr *metrics.Trace) ([][]jsondom.Value, error) {
+	stmt := &SelectStmt{
+		Items: []SelectItem{{Expr: &ColRef{Name: rowIDColumn}}},
+		From:  []FromItem{&TableRef{Name: tab.Name}},
+		Where: copyExpr(where),
+		Limit: -1,
 	}
-	if where == nil {
-		tab.Scan(func(rid int, _ store.Row) bool {
-			if !tick() {
-				return false
-			}
-			ids = append(ids, rid)
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		return ids, nil
-	}
-	env := &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
-	sch := tableSchema(tab, "")
-	ectx := env.bindCtx(sch, where)
-	tab.Scan(func(rid int, row store.Row) bool {
-		if !tick() {
-			return false
-		}
-		full, err := materializeRow(tab, cols, row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		ectx.row = full
-		v, err := evalExpr(ectx, where)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if truthy(v) {
-			ids = append(ids, rid)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return ids, nil
-}
-
-// tableSchema builds a Schema covering stored and virtual columns.
-func tableSchema(tab *store.Table, alias string) Schema {
-	var sch Schema
-	for _, c := range tab.Columns() {
-		sch = append(sch, ColMeta{Table: alias, Name: c.Name, Hidden: c.Hidden})
-	}
-	return sch
-}
-
-// materializeRow extends a stored row with computed virtual columns.
-func materializeRow(tab *store.Table, cols []store.Column, row store.Row) ([]jsondom.Value, error) {
-	full := make([]jsondom.Value, len(cols))
-	for i, c := range cols {
-		if !c.Virtual {
-			full[i] = row[i]
-			continue
-		}
-		if c.Expr == nil {
-			full[i] = null
-			continue
-		}
-		v, err := c.Expr(row)
-		if err != nil {
+	for _, set := range sets {
+		// the planner would answer an aggregate here with a group-by
+		if err := noAggOrWindow(set.Expr, "SET"); err != nil {
 			return nil, err
 		}
-		full[i] = v
+		stmt.Items = append(stmt.Items, SelectItem{Expr: copyExpr(set.Expr)})
 	}
-	return full, nil
+	res, _, _, err := e.planAndRun(ctx, stmt, params, false, tr)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+// rowIDOf reads the row id dmlRead put in a result row's first column.
+func rowIDOf(r []jsondom.Value) int {
+	rid, _ := r[0].(jsondom.Number).Int64()
+	return int(rid)
 }
 
 func affected(n int) *Result {

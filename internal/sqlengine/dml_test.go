@@ -1,0 +1,379 @@
+package sqlengine
+
+// Safety net for UPDATE / DELETE reading through the SELECT planner
+// (dmlRead): a seeded interleaving against a map model over every
+// access path the planner can pick for a DML predicate, faults landed
+// in the read and in the write half of a large UPDATE, and the
+// plan-time checks a DML WHERE now gets.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/jsondom"
+	"repro/internal/store"
+)
+
+// modelRow is the map model's copy of one row of m.
+type modelRow struct {
+	k, n int
+	opt  bool
+}
+
+const dmlModelRows = 1300 // two IMC chunks
+
+// newDMLModelEngine builds m (id, jdoc, n) with a number virtual column
+// vk over $.k (0..6), "opt" present in every third document, and a
+// postings-enabled search index, and returns the matching model.
+func newDMLModelEngine(t *testing.T) (*Engine, map[int]*modelRow) {
+	t.Helper()
+	e := New()
+	mustExec(t, e, `create table m (id number primary key, jdoc varchar2(4000) check (jdoc is json), n number)`)
+	mustExec(t, e, `create search index mix on m (jdoc)`)
+	model := map[int]*modelRow{}
+	for i := 0; i < dmlModelRows; i++ {
+		doc := fmt.Sprintf(`{"k":%d,"tag":"t%d"}`, i%7, i%5)
+		if i%3 == 0 {
+			doc = fmt.Sprintf(`{"k":%d,"tag":"t%d","opt":%d}`, i%7, i%5, i)
+		}
+		row := store.Row{jsondom.NumberFromInt(int64(i)), jsondom.String(doc), jsondom.NumberFromInt(int64(i % 11))}
+		if err := e.InsertRow("m", row); err != nil {
+			t.Fatal(err)
+		}
+		model[i] = &modelRow{k: i % 7, n: i % 11, opt: i%3 == 0}
+	}
+	mustExec(t, e, `alter table m add virtual column vk as json_value(jdoc, '$.k' returning number)`)
+	return e, model
+}
+
+// checkModel compares the whole table with the model.
+func checkModel(t *testing.T, e *Engine, model map[int]*modelRow, step int, last string) {
+	t.Helper()
+	ids := make([]int, 0, len(model))
+	for id := range model {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	want := make([]string, len(ids))
+	for i, id := range ids {
+		want[i] = fmt.Sprintf("[%d %d %d]", id, model[id].n, model[id].k)
+	}
+	got := fmt.Sprint(mustExec(t, e, `select id, n, vk from m order by id`).Rows)
+	if got != "["+strings.Join(want, " ")+"]" {
+		t.Fatalf("step %d, after %q: table diverges from the model:\n  got  %s\n  want [%s]", step, last, clip(got), clip(strings.Join(want, " ")))
+	}
+}
+
+// TestDMLInterleavingAgainstModel runs a seeded mix of INSERT, UPDATE,
+// DELETE and SELECT whose predicates cover a primary-key equality
+// (literal and bind), a virtual-column comparison, the JSON_VALUE
+// spelling the VC rewrite turns into one, JSON_EXISTS over the search
+// index with a residual, and no WHERE at all, under both scan configs.
+// With a store, it is populated and attached at random steps — after
+// deletes too — and stays attached across the inserts that follow, so
+// the DML statements meet every state the public API can reach: a fresh
+// store, one that lacks the newest rows, and one populated over
+// tombstones, whose vectors are misaligned with the row ids (ROADMAP
+// item 2). A write must come out right in all of them. SELECT still
+// trusts the store (item 2 is about exactly that), so the test's own
+// reads detach a store that is no longer fresh.
+func TestDMLInterleavingAgainstModel(t *testing.T) {
+	num := func(v int) jsondom.Value { return jsondom.NumberFromInt(int64(v)) }
+	for _, withIMC := range []bool{false, true} {
+		for _, cfg := range corpusConfigs() {
+			e, model := newDMLModelEngine(t)
+			cfg.set(&e.Planner)
+			rng := rand.New(rand.NewSource(17))
+			label := fmt.Sprintf("imc=%v %s", withIMC, cfg.label)
+			nextID, deleted, stale := dmlModelRows, false, false
+			read := func() { // about to SELECT: the store must be fresh
+				if stale {
+					e.DetachIMC("m")
+				}
+			}
+			const steps = 160
+			for step := 0; step < steps; step++ {
+				if withIMC && rng.Intn(3) == 0 {
+					attachIMC(t, e, "m", "vk")
+					stale = deleted
+				}
+				var sql string
+				var params []jsondom.Value
+				var hit func(id int, r *modelRow) bool
+				var apply func(r *modelRow) // nil deletes the row
+				id, c := rng.Intn(nextID), rng.Intn(8)
+				switch op := rng.Intn(12); op {
+				case 0:
+					sql = fmt.Sprintf(`update m set n = n + 1 where id = %d`, id)
+					hit = func(i int, _ *modelRow) bool { return i == id }
+					apply = func(r *modelRow) { r.n++ }
+				case 1:
+					sql, params = `update m set n = ? where id = ?`, []jsondom.Value{num(c), num(id)}
+					hit = func(i int, _ *modelRow) bool { return i == id }
+					apply = func(r *modelRow) { r.n = c }
+				case 2:
+					sql, params = `update m set n = n + 10 where vk >= ?`, []jsondom.Value{num(c)}
+					hit = func(_ int, r *modelRow) bool { return r.k >= c }
+					apply = func(r *modelRow) { r.n += 10 }
+				case 3:
+					sql = fmt.Sprintf(`update m set n = n + 100 where json_value(jdoc, '$.k' returning number) = %d`, c)
+					hit = func(_ int, r *modelRow) bool { return r.k == c }
+					apply = func(r *modelRow) { r.n += 100 }
+				case 4:
+					sql, params = `update m set n = 0 - n where json_exists(jdoc, '$.opt') and id < ?`, []jsondom.Value{num(id)}
+					hit = func(i int, r *modelRow) bool { return r.opt && i < id }
+					apply = func(r *modelRow) { r.n = -r.n }
+				case 5:
+					sql = `update m set n = n + 1`
+					hit = func(int, *modelRow) bool { return true }
+					apply = func(r *modelRow) { r.n++ }
+				case 6:
+					sql, params = `select count(*) from m where vk = ? and n >= 0`, []jsondom.Value{num(c)}
+					want := 0
+					for _, r := range model {
+						if r.k == c && r.n >= 0 {
+							want++
+						}
+					}
+					read()
+					if got := fmt.Sprint(mustExec(t, e, sql, params...).Rows); got != fmt.Sprintf("[[%d]]", want) {
+						t.Fatalf("%s step %d: %s = %s, want %d", label, step, sql, got, want)
+					}
+					continue
+				case 7:
+					sql, params = `delete from m where id = ?`, []jsondom.Value{num(id)}
+					hit = func(i int, _ *modelRow) bool { return i == id }
+				case 8:
+					sql, params = `delete from m where vk = ? and n > ?`, []jsondom.Value{num(c), num(100 + c)}
+					hit = func(_ int, r *modelRow) bool { return r.k == c && r.n > 100+c }
+				case 9:
+					sql, params = `delete from m where json_exists(jdoc, '$.opt') and id >= ? and id < ?`, []jsondom.Value{num(id), num(id + 40)}
+					hit = func(i int, r *modelRow) bool { return r.opt && i >= id && i < id+40 }
+				default: // an insert the attached store does not see
+					doc := fmt.Sprintf(`{"k":%d,"tag":"new","opt":1}`, c%7)
+					mustExec(t, e, `insert into m values (?, ?, ?)`, num(nextID), jsondom.String(doc), num(c))
+					model[nextID] = &modelRow{k: c % 7, n: c, opt: true}
+					nextID++
+					stale = true
+					continue
+				}
+				want := 0
+				for i, r := range model {
+					if hit(i, r) {
+						want++
+						if apply == nil {
+							delete(model, i)
+							deleted = true
+						} else {
+							apply(r)
+						}
+					}
+				}
+				if got := fmt.Sprint(mustExec(t, e, sql, params...).Rows); got != fmt.Sprintf("[[%d]]", want) {
+					t.Fatalf("%s step %d: %s affected %s rows, want %d", label, step, sql, got, want)
+				}
+				stale = false // the statement detached the store
+				if step%10 == 9 {
+					checkModel(t, e, model, step, sql)
+				}
+			}
+			read()
+			checkModel(t, e, model, steps, "the last step")
+			if got := fmt.Sprint(mustExec(t, e, `delete from m`).Rows); got != fmt.Sprintf("[[%d]]", len(model)) {
+				t.Fatalf("%s: delete without WHERE affected %s rows, want %d", label, got, len(model))
+			}
+			if n := len(mustExec(t, e, `select id from m`).Rows); n != 0 {
+				t.Fatalf("%s: %d rows survive delete without WHERE", label, n)
+			}
+		}
+	}
+}
+
+// TestDMLOverStaleStore pins the two states in which an attached store
+// disagrees with its table, each reached through the public API alone:
+// a row inserted after the population, and a population over a
+// tombstone. UPDATE and DELETE read the table, not the store, so both
+// write exactly the rows the predicate names.
+func TestDMLOverStaleStore(t *testing.T) {
+	e, model := newDMLModelEngine(t)
+	attachIMC(t, e, "m", "vk")
+	mustExec(t, e, `insert into m values (9001, '{"k":3,"tag":"new"}', 1)`)
+	model[9001] = &modelRow{k: 3, n: 99}
+	if got := fmt.Sprint(mustExec(t, e, `update m set n = 99 where vk = 3 and id > 9000`).Rows); got != "[[1]]" {
+		t.Fatalf("update of the row the store lacks affected %s rows, want 1", got)
+	}
+	checkModel(t, e, model, 1, "update over a store that lacks the newest row")
+
+	mustExec(t, e, `delete from m where id = 0`)
+	delete(model, 0)
+	attachIMC(t, e, "m", "vk") // over the tombstone of row 0
+	want := 0
+	for _, r := range model {
+		if r.k == 3 {
+			r.n, want = 99, want+1
+		}
+	}
+	if got := fmt.Sprint(mustExec(t, e, `update m set n = 99 where vk = 3`).Rows); got != fmt.Sprintf("[[%d]]", want) {
+		t.Fatalf("update over a store populated over a tombstone affected %s rows, want %d", got, want)
+	}
+	checkModel(t, e, model, 2, "update over a store populated over a tombstone")
+
+	attachIMC(t, e, "m", "vk")
+	for id, r := range model {
+		if r.k == 5 {
+			delete(model, id)
+		}
+	}
+	mustExec(t, e, `delete from m where vk = 5`)
+	checkModel(t, e, model, 3, "delete over a store populated over a tombstone")
+}
+
+// TestDMLFaults lands a cancellation at the k-th context poll of a
+// 5,000-row UPDATE — k = 1..12 strike its read, the larger ones its
+// write loop — and runs it under four memory budgets, serial and over
+// a scan fleet. Every outcome is the full update or a typed error, no
+// row carries one new column without the other, and no scan worker
+// outlives the statement.
+func TestDMLFaults(t *testing.T) {
+	const rows = 5000
+	for _, cfg := range corpusConfigs() {
+		e := New()
+		cfg.set(&e.Planner)
+		mustExec(t, e, `create table w (id number primary key, a number, b number)`)
+		state := make([]int, rows) // a and b of row id, always equal
+		for i := 0; i < rows; i++ {
+			if err := e.InsertRow("w", store.Row{jsondom.NumberFromInt(int64(i)), jsondom.NumberFromInt(0), jsondom.NumberFromInt(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// verify reads the table back: each row holds its old pair or the
+		// new one, all of them the new one when the update reported success
+		verify := func(what string, v int, err error) {
+			t.Helper()
+			res := mustExec(t, e, `select id, a, b from w order by id`)
+			if len(res.Rows) != rows {
+				t.Fatalf("%s %s: %d rows, want %d", cfg.label, what, len(res.Rows), rows)
+			}
+			for i, r := range res.Rows {
+				a, _ := r[1].(jsondom.Number).Int64()
+				b, _ := r[2].(jsondom.Number).Int64()
+				if a != b || int(a) != v && (err == nil || int(a) != state[i]) {
+					t.Fatalf("%s %s (err %v): row %d is (a=%d, b=%d), had %d, update sets %d", cfg.label, what, err, i, a, b, state[i], v)
+				}
+				state[i] = int(a)
+			}
+		}
+		update := func(ctx context.Context, v int) error {
+			_, err := e.ExecContext(ctx, `update w set a = ?, b = ? where id >= 0`,
+				jsondom.NumberFromInt(int64(v)), jsondom.NumberFromInt(int64(v)))
+			return err
+		}
+		baseline := runtime.NumGoroutine()
+		v := 0
+		for k := int64(1); ; k++ {
+			if k > 12 {
+				k += 6 // past the read's polls, into the write loop's
+			}
+			v++
+			err := update(&cancelAtPoll{Context: context.Background(), k: k}, v)
+			verify(fmt.Sprintf("cancelled at poll %d", k), v, err)
+			if err == nil {
+				if k <= 12 {
+					t.Fatalf("%s: the update finished within %d polls; the sweep strikes nothing", cfg.label, k)
+				}
+				break // k outran every poll of the statement
+			}
+			if !errors.Is(err, ErrQueryCancelled) {
+				t.Fatalf("%s cancelled at poll %d: want ErrQueryCancelled, got %v", cfg.label, k, err)
+			}
+		}
+		for _, budget := range []int64{1, 1 << 10, 1 << 14, 1 << 16} {
+			e.Planner.MemoryBudget = budget
+			v++
+			err := update(context.Background(), v)
+			e.Planner.MemoryBudget = 0 // verify sorts
+			if err != nil && !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("%s under a %d-byte budget: want success or ErrMemoryBudget, got %v", cfg.label, budget, err)
+			}
+			verify(fmt.Sprintf("under a %d-byte budget", budget), v, err)
+		}
+		waitGoroutines(t, baseline)
+	}
+}
+
+// TestDMLWhereIsCheckedAtPlanTime: the WHERE of an UPDATE or DELETE
+// goes through the SELECT planner's compile-time schema check, so an
+// unknown column is rejected even when the table has no row to evaluate
+// it on (the old private scan only failed once a row reached it).
+func TestDMLWhereIsCheckedAtPlanTime(t *testing.T) {
+	e := New()
+	mustExec(t, e, `create table w (id number primary key, a number)`)
+	mustExec(t, e, `create view wv as select id from w`)
+	for sql, want := range map[string]string{
+		`update w set a = 1 where nope = 2`: "unknown column nope",
+		`delete from w where nope = 2`:      "unknown column nope",
+		`update w set a = nope`:             "unknown column nope",
+		`update w set nope = 1`:             `no such stored column "nope"`,
+		`update wv set id = 1`:              `no such table "wv"`,
+		`delete from wv`:                    `no such table "wv"`,
+	} {
+		if _, err := e.Exec(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on an empty table: err = %v, want %q", sql, err, want)
+		}
+	}
+	// the hidden row id is not SQL surface: no spelling reaches it
+	mustExec(t, e, `insert into w values (1, 1)`)
+	for _, sql := range []string{`select rowid from w`, `select "ROWID" from w`, `select * from w where ROWID = 0`} {
+		if _, err := e.Query(sql); err == nil || !strings.Contains(err.Error(), "unknown column rowid") {
+			t.Errorf("%s: err = %v, want unknown column rowid", sql, err)
+		}
+	}
+	if got := fmt.Sprint(mustExec(t, e, `select * from w`).Rows); got != "[[1 1]]" {
+		t.Errorf("select * = %s, want [[1 1]]", got)
+	}
+}
+
+// TestPreparedDMLSharesNoAST: a prepared UPDATE re-dispatches one
+// parsed statement on every run; planning its read rewrites the WHERE
+// onto the virtual column, which must happen on a copy (the race
+// detector sees the shared AST otherwise). The concurrent runs match
+// no row: store.Table.Snapshot shares its backing array with Update,
+// so a scan racing a write is a data race of the store's own, at the
+// parent commit as well, and not what this test is about.
+func TestPreparedDMLSharesNoAST(t *testing.T) {
+	e, model := newDMLModelEngine(t)
+	ps, err := e.Prepare(`update m set n = n + 1 where json_value(jdoc, '$.k' returning number) = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if r, err := ps.Exec(jsondom.NumberFromInt(int64(100 + g))); err != nil || fmt.Sprint(r.Rows) != "[[0]]" {
+					t.Errorf("update matching nothing: %v, %v", r, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// the shared statement still means what it said
+	if r, err := ps.Exec(jsondom.NumberFromInt(3)); err != nil || fmt.Sprint(r.Rows) != "[[186]]" {
+		t.Fatalf("update of k = 3: %v, %v, want 186 rows", r, err)
+	}
+	for _, r := range model {
+		if r.k == 3 {
+			r.n++
+		}
+	}
+	checkModel(t, e, model, 0, ps.SQL())
+}

@@ -81,12 +81,6 @@ type PlannerOptions struct {
 	// hash-join build, group-by, window, cross-join) may buffer per
 	// query; <= 0 disables the accountant.
 	MemoryBudget int64
-	// DisableCostBasedPlanner turns off the statistics-driven plan
-	// decisions (docs/OPTIMIZER.md): AND-conjunct ordering, the
-	// index-vs-vectorized access-path arbitration, and the hash-join
-	// build-side choice. EXPLAIN's est-rows annotations stay on — they
-	// are observability, not plan decisions.
-	DisableCostBasedPlanner bool
 }
 
 type viewDef struct {
@@ -233,11 +227,11 @@ func (e *Engine) SearchIndex(name string) (*searchindex.Index, bool) {
 // workload loaders); constraint checks and index maintenance still
 // apply.
 func (e *Engine) InsertRow(table string, row store.Row) error {
-	t, ok := e.cat.Table(strings.ToLower(table))
-	if !ok {
-		return fmt.Errorf("sql: no such table %q", table)
+	t, err := e.table(table)
+	if err != nil {
+		return err
 	}
-	_, err := t.Insert(row)
+	_, err = t.Insert(row)
 	return err
 }
 
@@ -345,7 +339,7 @@ func (e *Engine) runWrapped(sqlText string, parseD time.Duration, stmt Statement
 func (e *Engine) dispatchStmt(ctx context.Context, stmt Statement, params []jsondom.Value, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
 	switch t := stmt.(type) {
 	case *SelectStmt:
-		return e.runSelect(ctx, t, params, collect, tr)
+		return e.planAndRun(ctx, t, params, collect, tr)
 	case *ExplainStmt:
 		res, err := e.runExplain(ctx, t, params)
 		return res, nil, 0, err
@@ -369,10 +363,10 @@ func (e *Engine) dispatchStmt(ctx context.Context, stmt Statement, params []json
 	case *DropStmt:
 		return &Result{}, nil, 0, e.ddl(e.drop(t))
 	case *DeleteStmt:
-		res, err := e.runDelete(ctx, t, params)
+		res, err := e.runDelete(ctx, t, params, tr)
 		return res, nil, 0, err
 	case *UpdateStmt:
-		res, err := e.runUpdate(ctx, t, params)
+		res, err := e.runUpdate(ctx, t, params, tr)
 		return res, nil, 0, err
 	}
 	return nil, nil, 0, fmt.Errorf("sql: unsupported statement %T", stmt)
@@ -431,19 +425,18 @@ func (e *Engine) createView(t *CreateViewStmt) error {
 		return fmt.Errorf("sql: view %q already exists", t.Name)
 	}
 	// validate by planning once and capture output column names
-	env := &planEnv{aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
-	_, names, err := e.planSelect(t.Query, env)
+	plan, err := e.planSelectStmt(t.Query)
 	if err != nil {
 		return fmt.Errorf("sql: invalid view %q: %w", t.Name, err)
 	}
-	e.setView(name, &viewDef{stmt: t.Query, names: names})
+	e.setView(name, &viewDef{stmt: t.Query, names: plan.names})
 	return nil
 }
 
 func (e *Engine) runInsert(ctx context.Context, t *InsertStmt, params []jsondom.Value) (*Result, error) {
-	tab, ok := e.cat.Table(strings.ToLower(t.Table))
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %q", t.Table)
+	tab, err := e.table(t.Table)
+	if err != nil {
+		return nil, err
 	}
 	cols := tab.Columns()
 	stored := 0
@@ -467,7 +460,7 @@ func (e *Engine) runInsert(ctx context.Context, t *InsertStmt, params []jsondom.
 			target = append(target, pos)
 		}
 	}
-	env := &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
+	env := newPlanEnv(params)
 	n := 0
 	ticks := 0
 	for _, exprRow := range t.Rows {
@@ -501,9 +494,9 @@ func (e *Engine) runInsert(ctx context.Context, t *InsertStmt, params []jsondom.
 }
 
 func (e *Engine) createSearchIndex(t *CreateSearchIndexStmt) error {
-	tab, ok := e.cat.Table(strings.ToLower(t.Table))
-	if !ok {
-		return fmt.Errorf("sql: no such table %q", t.Table)
+	tab, err := e.table(t.Table)
+	if err != nil {
+		return err
 	}
 	if _, ok := tab.Column(t.Column); !ok {
 		return fmt.Errorf("sql: no such column %q in %q", t.Column, t.Table)
@@ -536,9 +529,9 @@ func (e *Engine) createSearchIndex(t *CreateSearchIndexStmt) error {
 }
 
 func (e *Engine) addVirtualColumn(t *AlterTableAddVCStmt) error {
-	tab, ok := e.cat.Table(strings.ToLower(t.Table))
-	if !ok {
-		return fmt.Errorf("sql: no such table %q", t.Table)
+	tab, err := e.table(t.Table)
+	if err != nil {
+		return err
 	}
 	// the VC expression sees the stored columns of the table
 	var sch Schema
@@ -550,7 +543,7 @@ func (e *Engine) addVirtualColumn(t *AlterTableAddVCStmt) error {
 		}
 	}
 	expr := t.Expr
-	env := &planEnv{aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
+	env := newPlanEnv(nil)
 	colType := store.TypeVarchar
 	if jv, ok := expr.(*JSONValueExpr); ok {
 		switch jv.Returning {
@@ -628,24 +621,24 @@ func exprKey(e Expr) string {
 // ---------------------------------------------------------------------------
 // SELECT planning
 
-// runSelect plans and drains one SELECT. collect forces per-operator
-// stats collection (slow-query logging); the returned rowSource is the
-// closed plan tree, kept so the caller can render it, and the uint64
-// is the execution's query id.
-func (e *Engine) runSelect(ctx context.Context, stmt *SelectStmt, params []jsondom.Value, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
+// planAndRun compiles one statement-path SELECT (or the read half of an
+// UPDATE / DELETE) and executes it the way cached and prepared
+// statements run: the plan is a template, instantiated per execution.
+// collect forces per-operator stats collection (slow-query logging);
+// the returned rowSource is the closed plan tree, kept so the caller
+// can render it, and the uint64 is the execution's query id.
+func (e *Engine) planAndRun(ctx context.Context, stmt *SelectStmt, params []jsondom.Value, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
 	planDone := tr.StartPhase("plan")
-	env := &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
-	src, names, err := e.planSelectPushed(stmt, env, nil)
+	plan, err := e.planSelectStmt(stmt)
 	planDone()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return e.drainSource(ctx, src, names, collect, tr)
+	return e.runPlan(ctx, plan, params, collect, tr)
 }
 
-// runPlan executes one cached/prepared plan: a bind phase
-// instantiates a fresh operator tree against params, then the tree is
-// drained like any other SELECT.
+// runPlan executes one compiled plan: a bind phase instantiates a
+// fresh operator tree against params, then the tree is drained.
 func (e *Engine) runPlan(ctx context.Context, plan *preparedPlan, params []jsondom.Value, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
 	bindDone := tr.StartPhase("bind")
 	src := plan.instantiate(params)
@@ -655,10 +648,11 @@ func (e *Engine) runPlan(ctx context.Context, plan *preparedPlan, params []jsond
 
 // drainSource opens src, materializes every row, and closes it,
 // timing the execute phase and recording the row count on tr. It is
-// the engine's single batch-to-row adapter: Query, prepared statements
-// and EXPLAIN ANALYZE all execute a plan through this loop. The rows
-// inside a batch are arena-carved and safe to retain in the Result;
-// only the batch headers cycle through the pool.
+// the engine's single batch-to-row adapter: Query, prepared statements,
+// EXPLAIN ANALYZE and the reads of UPDATE / DELETE all execute a plan
+// through this loop. The rows inside a batch are arena-carved and safe
+// to retain in the Result; only the batch headers cycle through the
+// pool.
 func (e *Engine) drainSource(ctx context.Context, src rowSource, names []string, collect bool, tr *metrics.Trace) (*Result, rowSource, uint64, error) {
 	ec := newExecCtx(ctx, e.Planner.MemoryBudget)
 	ec.collect = collect
@@ -694,95 +688,82 @@ func (e *Engine) drainSource(ctx context.Context, src rowSource, names []string,
 	}
 }
 
-func (e *Engine) planSelect(stmt *SelectStmt, env *planEnv) (rowSource, []string, error) {
-	return e.planSelectPushed(stmt, env, nil)
+// selectLevel is what planning one query level shares between its FROM
+// items: the plan environment, the statistics context, and the column
+// names the level references (virtual columns outside it are not
+// computed) with whether a star projection exposes all of them.
+type selectLevel struct {
+	env        *planEnv
+	cc         *costCtx
+	referenced map[string]bool
+	star       bool
 }
 
 // planSelectPushed plans a select with additional predicate conjuncts
 // pushed down from an enclosing query (view predicate pushdown, §6.3).
-// Pushed conjuncts reference this statement's *output* column names;
-// they are substituted to inner expressions and folded into WHERE.
+// Pushed conjuncts are already substituted to this statement's inner
+// expressions; they are folded into WHERE. The numbered steps are the
+// planner's ordered pass list.
 func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr) (rowSource, []string, error) {
 	// 1. virtual-column rewrite (JSON_VALUE -> VC column; §5.2.1) must
 	// precede the referenced-column analysis so rewritten VC references
 	// are computed by the scan
 	e.applyVCRewrites(stmt)
 
-	// 2. fold pushed conjuncts (already substituted to this statement's
-	// inner expressions) into a local WHERE, never mutating the shared
-	// view AST
+	// 2. fold pushed conjuncts into a local WHERE, never mutating the
+	// shared view AST; WHERE runs below aggregation and windowing, so
+	// neither may appear in it
 	where := stmt.Where
 	for _, p := range pushed {
 		where = andExpr(where, p)
 	}
+	if err := noAggOrWindow(where, "WHERE"); err != nil {
+		return nil, nil, err
+	}
 
-	// 2b. cost-based conjunct ordering (docs/OPTIMIZER.md): evaluate
+	// 3. cost-ordered conjuncts (docs/OPTIMIZER.md): evaluate
 	// the most selective AND-conjunct first so the executor's
 	// short-circuit (and the vectorized scan's kernel/residual split)
 	// discards rows as early as possible. AND commutes over the row
 	// set, so the result rows and their order are unchanged.
-	cc := e.newCostCtx(stmt)
-	costOn := !e.Planner.DisableCostBasedPlanner
-	if costOn {
-		mCostPlans.Inc()
-		if where != nil {
-			if ordered, changed := cc.orderConjuncts(splitAnd(where)); changed {
-				where = joinAnd(ordered)
-				mCostReorders.Inc()
-			}
+	lv := &selectLevel{env: env, cc: e.newCostCtx(stmt)}
+	if where != nil {
+		if ordered, changed := lv.cc.orderConjuncts(splitAnd(where)); changed {
+			where = joinAnd(ordered)
+			mCostReorders.Inc()
 		}
 	}
 	whereOrig := where
 
-	// 3. referenced-column analysis for virtual-column pruning
-	referenced, hasStar := collectReferenced(stmt)
-	for _, c := range exprColRefs(where) {
-		referenced[c.Name] = true
-	}
+	// 4. referenced-column analysis for virtual-column pruning
+	lv.referenced, lv.star = collectReferenced(stmt, where)
 
-	// 4. FROM (with columnar predicate pushdown for single-table scans
-	// over an attached vector store, §5.2.1, view predicate pushdown
-	// and JSON_EXISTS prefilters on JSON_TABLE, §6.3)
+	// 5. FROM. A single table or view under a WHERE lets the predicate
+	// choose the access path (search-index postings or vector kernels,
+	// §5.2.1; pushdown into the view's own plan, §6.3); everything else
+	// is built item by item, with JSON_EXISTS prefilters on a trailing
+	// JSON_TABLE (§6.3).
 	var src rowSource
-	if scan, residual, ok := e.tryIndexScan(stmt, where, env, referenced, hasStar); ok && !e.Planner.DisableIndexScan {
-		src = scan
-		where = residual
-		// cost-based access-path arbitration: when the postings are
-		// estimated to cover a large table fraction and a vectorized
-		// scan is available, the sparse row-id list loses its point —
-		// prefer the columnar kernels. Both paths return the same rows
-		// in ascending row-id order.
-		if costOn {
-			if sel, known := cc.indexScanSelectivity(whereOrig, residual); known && sel > costIndexMaxSel {
-				if vscan, vres, vok := e.tryVectorizedScan(stmt, whereOrig, env, referenced, hasStar); vok && !e.Planner.DisableVectorFilter {
-					src = vscan
-					where = vres
-					mCostIndexSkips.Inc()
-				}
-			}
-		}
-	} else if scan, residual, ok := e.tryVectorizedScan(stmt, where, env, referenced, hasStar); ok && !e.Planner.DisableVectorFilter {
-		src = scan
-		where = residual
-	} else if inner, residual, ok, err := e.tryViewPushdown(stmt, where, env); ok || err != nil {
-		if err != nil {
+	if tr := singleTable(stmt); tr != nil && where != nil && tr.SamplePct == 0 {
+		if scan := e.scanTable(tr, lv); scan != nil {
+			src, where = scan, e.chooseAccessPath(scan, where, lv.cc)
+		} else if inner, residual, err := e.viewPushdown(tr, where, env); err != nil {
 			return nil, nil, err
+		} else if inner != nil {
+			src, where = inner, residual
 		}
-		src = inner
-		where = residual
-	} else {
+	}
+	if src == nil {
 		var jtOp *jsonTableOp
 		for _, f := range stmt.From {
-			s, lateral, err := e.buildFrom(f, src, env, referenced, hasStar, cc)
+			s, lateral, err := e.buildFrom(f, src, lv)
 			if err != nil {
 				return nil, nil, err
 			}
 			switch {
 			case lateral:
 				src = s // JSON_TABLE already composed with the left side
-				if op, ok := s.(*jsonTableOp); ok {
-					jtOp = op
-				}
+				jtOp, _ = s.(*jsonTableOp)
 			case src == nil:
 				src = s
 			default:
@@ -790,10 +771,10 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 				jtOp = nil
 			}
 		}
-		// JSON_EXISTS prefilter: WHERE conjuncts over the trailing
-		// JSON_TABLE's columns become path predicates evaluated on the
-		// document before expansion (§6.3); the residual WHERE still
-		// applies, so this is purely an implied pre-filter.
+		// WHERE conjuncts over the trailing JSON_TABLE's columns become
+		// path predicates evaluated on the document before expansion;
+		// the residual WHERE still applies, so this is purely an implied
+		// pre-filter
 		if jtOp != nil && where != nil && !e.Planner.DisablePrefilter {
 			attachPrefilters(jtOp, where)
 		}
@@ -804,10 +785,10 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	// stamp the scan's est-rows with base rows x consumed-conjunct
 	// selectivity while the pushed-down conjuncts are still in hand
 	if scan, ok := src.(*tableScan); ok {
-		cc.setScanEstimate(scan, whereOrig, where)
+		lv.cc.setScanEstimate(scan, whereOrig, where)
 	}
 
-	// 5. WHERE (residual after pushdown). A bare scan over a large
+	// 6. WHERE (residual after pushdown). A bare scan over a large
 	// enough table upgrades to a parallel partitioned scan that absorbs
 	// the residual filter into its workers.
 	if par := e.parallelizeScan(src, where, env); par != nil {
@@ -816,15 +797,33 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 		src = &filterOp{in: src, pred: where, env: env}
 	}
 
-	// 5. aggregation
+	// 7. aggregation, then window functions over its output. Neither
+	// collection looks inside an aggregate's arguments: those are
+	// evaluated below both operators, where a window column does not
+	// exist yet. They are two walks because they stop differently: a
+	// window's arguments and keys may hold aggregates, but no further
+	// window.
 	var aggs []*FuncCall
+	var wins []*WindowFunc
+	collectAggs := func(x Expr) bool {
+		if isAggregate(x) {
+			aggs = append(aggs, x.(*FuncCall))
+		}
+		return !isAggregate(x)
+	}
+	collectWins := func(x Expr) bool {
+		if isWindow(x) {
+			wins = append(wins, x.(*WindowFunc))
+		}
+		return !isWindow(x) && !isAggregate(x)
+	}
 	for _, it := range stmt.Items {
-		collectAggs(it.Expr, &aggs)
+		walkExpr(it.Expr, collectAggs)
+		walkExpr(it.Expr, collectWins)
 	}
-	collectAggs(stmt.Having, &aggs)
-	for _, o := range stmt.OrderBy {
-		collectAggs(o.Expr, &aggs)
-	}
+	walkExpr(stmt.Having, collectAggs)
+	walkOrder(stmt.OrderBy, collectAggs)
+	walkOrder(stmt.OrderBy, collectWins)
 	if len(aggs) > 0 || len(stmt.GroupBy) > 0 {
 		src = newGroupAggOp(src, stmt.GroupBy, aggs, len(stmt.GroupBy) == 0, env)
 		if stmt.Having != nil {
@@ -833,33 +832,32 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	} else if stmt.Having != nil {
 		return nil, nil, fmt.Errorf("sql: HAVING requires aggregation")
 	}
-
-	// 6. window functions
-	var wins []*WindowFunc
-	for _, it := range stmt.Items {
-		collectWins(it.Expr, &wins)
-	}
-	for _, o := range stmt.OrderBy {
-		collectWins(o.Expr, &wins)
-	}
 	if len(wins) > 0 {
 		src = newWindowOp(src, wins, env)
 	}
 
-	// 7. compile-time schema check (§1: "compile time schema check with
-	// the rich analytic power of SQL"): every column reference must
-	// resolve against the plan schema
-	if err := validateColumns(stmt, src.Schema()); err != nil {
-		return nil, nil, err
-	}
-
-	// 8. expand stars into concrete projection expressions
-	exprs, names, err := expandItems(stmt.Items, src.Schema())
+	// 8. compile-time schema check (§1: "compile time schema check with
+	// the rich analytic power of SQL"): every column reference of this
+	// query level must resolve against the plan schema
+	planned := src.Schema()
+	var err error
+	walkSelect(stmt, false, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok && err == nil {
+			_, err = planned.Resolve(c.Table, c.Name)
+		}
+		return err == nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// 8. ORDER BY below the projection; positional items resolve to the
+	// 9. expand stars into concrete projection expressions
+	exprs, names, err := expandItems(stmt.Items, planned)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// 10. ORDER BY below the projection; positional items resolve to the
 	// corresponding projection expression
 	if len(stmt.OrderBy) > 0 {
 		items := make([]OrderItem, len(stmt.OrderBy))
@@ -876,49 +874,143 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 		src = &sortOp{in: src, items: items, env: env}
 	}
 
-	// 9. projection
+	// 11. projection
 	sch := make(Schema, len(names))
 	for i, n := range names {
 		sch[i] = ColMeta{Name: n}
 	}
 	src = &projectOp{in: src, exprs: exprs, sch: sch, env: env}
 
-	// 10. LIMIT
+	// 12. LIMIT
 	if stmt.Limit >= 0 {
 		src = &limitOp{in: src, limit: stmt.Limit}
 	}
 
-	// 11. est-rows annotation for EXPLAIN: always computed (estimates
-	// are observability; only plan decisions are gated by
-	// DisableCostBasedPlanner)
-	cc.annotateEstimates(src)
+	// 13. est-rows annotation for EXPLAIN
+	lv.cc.annotateEstimates(src)
 
 	return src, names, nil
 }
 
-// tryVectorizedScan handles the single-table case with an attached
-// vector-filter source: WHERE conjuncts over vector-backed columns
-// compile to chunk kernels applied before row materialization —
-// constant predicates at plan time, bind-dependent ones at the scan's
-// Open; the conjuncts the compiler declines are returned as the
-// residual filter.
-func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, referenced map[string]bool, hasStar bool) (rowSource, Expr, bool) {
-	if len(stmt.From) != 1 || where == nil {
-		return nil, nil, false
+// singleTable returns the statement's FROM clause when it is exactly
+// one table (or view) reference, else nil.
+func singleTable(stmt *SelectStmt) *TableRef {
+	if len(stmt.From) != 1 {
+		return nil
 	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
-		return nil, nil, false
+	tr, _ := stmt.From[0].(*TableRef)
+	return tr
+}
+
+// noAggOrWindow rejects an aggregate or window function in a clause
+// that is evaluated below the operators computing them.
+func noAggOrWindow(e Expr, clause string) (err error) {
+	walkExpr(e, func(x Expr) bool {
+		switch {
+		case isAggregate(x):
+			err = fmt.Errorf("sql: aggregate %s is not allowed in %s", x.(*FuncCall).Name, clause)
+		case isWindow(x):
+			err = fmt.Errorf("sql: window function %s is not allowed in %s", x.(*WindowFunc).Name, clause)
+		}
+		return err == nil
+	})
+	return err
+}
+
+// rowIDColumn names the hidden scan column that carries a row's id to
+// UPDATE and DELETE (dml.go). The lexer lower-cases every identifier,
+// quoted or not, so no SQL text can spell it.
+const rowIDColumn = "ROWID"
+
+// resolved returns the reference's lower-cased catalog name and the
+// alias its columns are qualified by (the name when none is written).
+func (t *TableRef) resolved() (name, alias string) {
+	name = strings.ToLower(t.Name)
+	if t.Alias != "" {
+		return name, t.Alias
 	}
-	name := strings.ToLower(tr.Name)
+	return name, name
+}
+
+// eachTableRef calls fn for every table reference of a FROM item, join
+// trees included (subqueries are their own query level).
+func eachTableRef(f FromItem, fn func(*TableRef)) {
+	switch t := f.(type) {
+	case *TableRef:
+		fn(t)
+	case *JoinRef:
+		eachTableRef(t.Left, fn)
+		eachTableRef(t.Right, fn)
+	}
+}
+
+// scanTable is the one table-access constructor: it resolves a FROM
+// table reference against the catalog and builds its scan — virtual
+// columns computed only where the level references them, the attached
+// in-memory source substituted, and the row id appended as a hidden
+// column when the level asks for it. nil when the name is not a table.
+//
+// A level that asks for the row id is the read half of an UPDATE or
+// DELETE, and it scans the table itself: the attached store may be
+// stale (INSERT and Collection.Put do not detach it) or populated over
+// tombstones (ROADMAP item 2), and a write must not act on row ids or
+// values a stale vector produced.
+func (e *Engine) scanTable(t *TableRef, lv *selectLevel) *tableScan {
+	name, alias := t.resolved()
 	tab, ok := e.cat.Table(name)
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
-	sub := e.imcSource(name)
-	bfs, ok := sub.(BatchFilterSource)
+	s := &tableScan{
+		tab:       tab,
+		alias:     alias,
+		cols:      tab.Columns(),
+		samplePct: t.SamplePct,
+		env:       lv.env,
+	}
+	for _, c := range s.cols {
+		s.sch = append(s.sch, ColMeta{Table: alias, Name: c.Name, Hidden: c.Hidden})
+		s.needVC = append(s.needVC, lv.referenced[c.Name] || (lv.star && !c.Hidden))
+	}
+	if lv.referenced[rowIDColumn] {
+		s.sch = append(s.sch, ColMeta{Table: alias, Name: rowIDColumn, Hidden: true})
+	} else {
+		s.sub = e.imcSource(name)
+	}
+	return s
+}
+
+// chooseAccessPath lets the WHERE conjuncts pick how a single-table
+// scan finds its rows — search-index postings, vector kernels, or the
+// plain scan — and returns the residual predicate. When the postings
+// are estimated to cover a large table fraction and vector kernels are
+// available, the sparse row-id list loses its point and the kernels
+// win; both paths return the same rows in ascending row-id order.
+func (e *Engine) chooseAccessPath(scan *tableScan, where Expr, cc *costCtx) Expr {
+	residual, ok := e.indexAccess(scan, where)
 	if !ok {
-		return nil, nil, false
+		residual, _ = e.vectorAccess(scan, where)
+		return residual
+	}
+	if sel, known := cc.indexScanSelectivity(where, residual); known && sel > costIndexMaxSel {
+		if vres, vok := e.vectorAccess(scan, where); vok {
+			scan.rowIDsFn = nil
+			mCostIndexSkips.Inc()
+			return vres
+		}
+	}
+	return residual
+}
+
+// vectorAccess compiles WHERE conjuncts over vector-backed columns of
+// the scan's in-memory source to chunk kernels applied before row
+// materialization — constant predicates at plan time, bind-dependent
+// ones at the scan's Open; the conjuncts the compiler declines are
+// returned as the residual filter.
+func (e *Engine) vectorAccess(scan *tableScan, where Expr) (Expr, bool) {
+	bfs, ok := scan.sub.(BatchFilterSource)
+	if !ok || e.Planner.DisableVectorFilter {
+		return where, false
 	}
 	var kernels []imc.BatchKernel
 	var kernelLabels []string
@@ -943,22 +1035,13 @@ func (e *Engine) tryVectorizedScan(stmt *SelectStmt, where Expr, env *planEnv, r
 		residual = andExpr(residual, c)
 	}
 	if len(kernels)+len(specs) == 0 {
-		return nil, nil, false
+		return where, false
 	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
-	}
-	needed := make(map[string]bool)
-	for _, c := range tab.Columns() {
-		needed[c.Name] = referenced[c.Name] || (hasStar && !c.Hidden)
-	}
-	scan := newTableScan(tab, alias, needed, sub, 0, env)
 	scan.vecSpecs = specs
 	scan.batchKernels = kernels
 	scan.batchLabels = kernelLabels
 	scan.bsrc = bfs
-	return scan, residual, true
+	return residual, true
 }
 
 // recognizeVecFilter matches `col op const` / `const op col` /
@@ -1005,29 +1088,17 @@ func specHasParam(spec vecFilterSpec) bool {
 	return false
 }
 
-// tryIndexScan accelerates `FROM table WHERE json_exists(col, '$...')`
-// using the JSON search index: the path postings yield exactly the
-// documents containing the field-name path (§3.2.1: "what documents
-// within the collection have particular path structures"), so the scan
-// touches only those rows and the conjunct is satisfied by
-// construction. Only plain field-chain paths qualify — they match the
-// index's path vocabulary exactly.
-func (e *Engine) tryIndexScan(stmt *SelectStmt, where Expr, env *planEnv, referenced map[string]bool, hasStar bool) (rowSource, Expr, bool) {
-	if len(stmt.From) != 1 || where == nil {
-		return nil, nil, false
-	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
-		return nil, nil, false
-	}
-	name := strings.ToLower(tr.Name)
-	tab, ok := e.cat.Table(name)
-	if !ok {
-		return nil, nil, false
-	}
-	indexes := e.indexesFor(name)
-	if len(indexes) == 0 {
-		return nil, nil, false
+// indexAccess accelerates `WHERE json_exists(col, '$...')` using the
+// JSON search index: the path postings yield exactly the documents
+// containing the field-name path (§3.2.1: "what documents within the
+// collection have particular path structures"), so the scan touches
+// only those rows and the conjunct is satisfied by construction. Only
+// plain field-chain paths qualify — they match the index's path
+// vocabulary exactly.
+func (e *Engine) indexAccess(scan *tableScan, where Expr) (Expr, bool) {
+	indexes := e.indexesFor(scan.tab.Name)
+	if len(indexes) == 0 || e.Planner.DisableIndexScan {
+		return where, false
 	}
 	var getters []func() []int
 	var residual Expr
@@ -1048,17 +1119,8 @@ func (e *Engine) tryIndexScan(stmt *SelectStmt, where Expr, env *planEnv, refere
 		residual = andExpr(residual, c)
 	}
 	if len(getters) == 0 {
-		return nil, nil, false
+		return where, false
 	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
-	}
-	needed := make(map[string]bool)
-	for _, col := range tab.Columns() {
-		needed[col.Name] = referenced[col.Name] || (hasStar && !col.Hidden)
-	}
-	scan := newTableScan(tab, alias, needed, e.imcSource(name), 0, env)
 	// postings are read at Open, per execution, so a cached plan picks
 	// up rows inserted after planning
 	scan.rowIDsFn = func() []int {
@@ -1071,7 +1133,7 @@ func (e *Engine) tryIndexScan(stmt *SelectStmt, where Expr, env *planEnv, refere
 		}
 		return rowIDs
 	}
-	return scan, residual, true
+	return residual, true
 }
 
 // restrictIDs intersects candidate row id lists (both sorted by
@@ -1139,15 +1201,13 @@ func (e *Engine) indexPathPostings(indexes []*searchindex.Index, je *JSONExistsE
 }
 
 // substituteOutputCols rewrites a pushed conjunct (expressed over a
-// statement's output column names) into the statement's inner
-// expressions, returning a new tree (the original is never mutated).
+// statement's output column names; qualifiers are ignored) into the
+// statement's inner expressions, returning a new tree (the original is
+// never mutated).
 func substituteOutputCols(p Expr, stmt *SelectStmt) (Expr, error) {
 	lookup := func(name string) (Expr, error) {
 		for _, it := range stmt.Items {
-			if it.Star {
-				continue
-			}
-			if itemName(it, 0) == name {
+			if !it.Star && itemName(it, 0) == name {
 				return it.Expr, nil
 			}
 		}
@@ -1158,14 +1218,9 @@ func substituteOutputCols(p Expr, stmt *SelectStmt) (Expr, error) {
 			for _, f := range stmt.From {
 				switch t := f.(type) {
 				case *TableRef:
-					alias := t.Alias
-					if alias == "" {
-						alias = strings.ToLower(t.Name)
+					if _, alias := t.resolved(); it.StarTable == "" || it.StarTable == alias {
+						return &ColRef{Table: alias, Name: name}, nil
 					}
-					if it.StarTable != "" && it.StarTable != alias {
-						continue
-					}
-					return &ColRef{Table: alias, Name: name}, nil
 				case *JSONTableRef:
 					if it.StarTable != "" && it.StarTable != t.Alias {
 						continue
@@ -1180,120 +1235,35 @@ func substituteOutputCols(p Expr, stmt *SelectStmt) (Expr, error) {
 		}
 		return nil, fmt.Errorf("sql: pushed predicate references unknown column %q", name)
 	}
-	var clone func(Expr) (Expr, error)
-	clone = func(x Expr) (Expr, error) {
-		switch t := x.(type) {
-		case nil:
-			return nil, nil
-		case *ColRef:
-			return lookup(t.Name)
-		case *Literal, *Param:
-			return x, nil
-		case *BinOp:
-			l, err := clone(t.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := clone(t.R)
-			if err != nil {
-				return nil, err
-			}
-			return &BinOp{Op: t.Op, L: l, R: r}, nil
-		case *UnOp:
-			xx, err := clone(t.X)
-			if err != nil {
-				return nil, err
-			}
-			return &UnOp{Op: t.Op, X: xx}, nil
-		case *IsNullExpr:
-			xx, err := clone(t.X)
-			if err != nil {
-				return nil, err
-			}
-			return &IsNullExpr{X: xx, Not: t.Not}, nil
-		case *InExpr:
-			xx, err := clone(t.X)
-			if err != nil {
-				return nil, err
-			}
-			list := make([]Expr, len(t.List))
-			for i, a := range t.List {
-				if list[i], err = clone(a); err != nil {
-					return nil, err
-				}
-			}
-			return &InExpr{X: xx, List: list, Not: t.Not}, nil
-		case *LikeExpr:
-			xx, err := clone(t.X)
-			if err != nil {
-				return nil, err
-			}
-			pat, err := clone(t.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			return &LikeExpr{X: xx, Pattern: pat, Not: t.Not}, nil
-		case *BetweenExpr:
-			xx, err := clone(t.X)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := clone(t.Lo)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := clone(t.Hi)
-			if err != nil {
-				return nil, err
-			}
-			return &BetweenExpr{X: xx, Lo: lo, Hi: hi, Not: t.Not}, nil
-		case *FuncCall:
-			args := make([]Expr, len(t.Args))
-			var err error
-			for i, a := range t.Args {
-				if args[i], err = clone(a); err != nil {
-					return nil, err
-				}
-			}
-			return &FuncCall{Name: t.Name, Args: args, Star: t.Star, Distinct: t.Distinct}, nil
+	var err error
+	out := rewriteExpr(p, true, func(x Expr) Expr {
+		if c, ok := x.(*ColRef); ok && err == nil {
+			x, err = lookup(c.Name)
 		}
-		return nil, fmt.Errorf("sql: cannot push predicate containing %T", x)
-	}
-	return clone(p)
+		return x
+	})
+	return out, err
 }
 
-// tryViewPushdown handles `FROM <view> WHERE ...`: conjuncts that only
+// viewPushdown handles `FROM <view> WHERE ...`: conjuncts that only
 // reference the view's output columns are pushed into the view's plan
 // (where the JSON_EXISTS prefilter and vector pushdowns can act on
-// them); the rest remain as the residual filter.
-func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (rowSource, Expr, bool, error) {
-	if len(stmt.From) != 1 || where == nil {
-		return nil, nil, false, nil
-	}
-	tr, ok := stmt.From[0].(*TableRef)
-	if !ok || tr.SamplePct > 0 {
-		return nil, nil, false, nil
-	}
-	name := strings.ToLower(tr.Name)
-	if _, isTable := e.cat.Table(name); isTable {
-		return nil, nil, false, nil
-	}
+// them); the rest remain as the residual filter. A nil source means
+// nothing was pushed.
+func (e *Engine) viewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource, Expr, error) {
+	name, alias := tr.resolved()
 	vd, isView := e.view(name)
-	if !isView {
-		return nil, nil, false, nil
+	// filtering must not cross aggregation/window/limit boundaries
+	if !isView || len(vd.stmt.GroupBy) > 0 || vd.stmt.Limit >= 0 {
+		return nil, nil, nil
 	}
-	// filtering must not cross aggregation/limit boundaries
-	if len(vd.stmt.GroupBy) > 0 || vd.stmt.Having != nil || vd.stmt.Limit >= 0 {
-		return nil, nil, false, nil
-	}
-	for _, it := range vd.stmt.Items {
-		if hasAggregate(it.Expr) || hasWindow(it.Expr) {
-			return nil, nil, false, nil
-		}
-	}
-	alias := tr.Alias
-	if alias == "" {
-		alias = name
+	crosses := false
+	walkSelect(vd.stmt, false, func(x Expr) bool {
+		crosses = crosses || isAggregate(x) || isWindow(x)
+		return !crosses
+	})
+	if crosses {
+		return nil, nil, nil
 	}
 	viewCols := make(map[string]bool, len(vd.names))
 	for _, n := range vd.names {
@@ -1302,17 +1272,14 @@ func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (ro
 	var push []Expr
 	var residual Expr
 	for _, c := range splitAnd(where) {
-		ok := true
-		for _, cr := range exprColRefs(c) {
-			if cr.Table != "" && cr.Table != alias || !viewCols[cr.Name] {
-				ok = false
-				break
-			}
-		}
-		// only simple predicate shapes are pushed; exotic expressions
-		// stay above the view
-		if ok && pushableShape(c) {
-			if sub, err := substituteOutputCols(stripQualifier(c, alias), vd.stmt); err == nil {
+		// only simple predicate shapes over the view's own columns are
+		// pushed; exotic expressions stay above the view
+		foreign := !pushableShape(c) || exprContains(c, func(x Expr) bool {
+			cr, ok := x.(*ColRef)
+			return ok && (cr.Table != "" && cr.Table != alias || !viewCols[cr.Name])
+		})
+		if !foreign {
+			if sub, err := substituteOutputCols(c, vd.stmt); err == nil {
 				push = append(push, sub)
 				continue
 			}
@@ -1320,13 +1287,13 @@ func (e *Engine) tryViewPushdown(stmt *SelectStmt, where Expr, env *planEnv) (ro
 		residual = andExpr(residual, c)
 	}
 	if len(push) == 0 {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	inner, _, err := e.planSelectPushed(vd.stmt, env, push)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return newAliasWrap(inner, alias, vd.names), residual, true, nil
+	return newAliasWrap(inner, alias, vd.names), residual, nil
 }
 
 // pushableShape limits pushdown to deterministic scalar predicates.
@@ -1360,64 +1327,15 @@ func pushableShape(c Expr) bool {
 	return false
 }
 
-// stripQualifier rebuilds the conjunct with unqualified column refs so
-// it can be re-resolved inside the view.
-func stripQualifier(c Expr, alias string) Expr {
-	// substituteOutputCols performs its own cloning; here we only need
-	// qualifiers dropped, which it tolerates, so a shallow pass
-	// suffices: clone via substituteOutputCols-compatible copy
-	var clone func(Expr) Expr
-	clone = func(x Expr) Expr {
-		switch t := x.(type) {
-		case nil:
-			return nil
-		case *ColRef:
-			return &ColRef{Name: t.Name}
-		case *BinOp:
-			return &BinOp{Op: t.Op, L: clone(t.L), R: clone(t.R)}
-		case *UnOp:
-			return &UnOp{Op: t.Op, X: clone(t.X)}
-		case *IsNullExpr:
-			return &IsNullExpr{X: clone(t.X), Not: t.Not}
-		case *InExpr:
-			list := make([]Expr, len(t.List))
-			for i, a := range t.List {
-				list[i] = clone(a)
-			}
-			return &InExpr{X: clone(t.X), List: list, Not: t.Not}
-		case *LikeExpr:
-			return &LikeExpr{X: clone(t.X), Pattern: clone(t.Pattern), Not: t.Not}
-		case *BetweenExpr:
-			return &BetweenExpr{X: clone(t.X), Lo: clone(t.Lo), Hi: clone(t.Hi), Not: t.Not}
-		case *FuncCall:
-			args := make([]Expr, len(t.Args))
-			for i, a := range t.Args {
-				args[i] = clone(a)
-			}
-			return &FuncCall{Name: t.Name, Args: args, Star: t.Star, Distinct: t.Distinct}
-		}
-		return x
-	}
-	return clone(c)
-}
-
 // buildFrom builds a row source for one FROM item. lateral=true means
 // the returned source already incorporates the accumulated left side.
-func (e *Engine) buildFrom(f FromItem, left rowSource, env *planEnv, referenced map[string]bool, hasStar bool, cc *costCtx) (rowSource, bool, error) {
+func (e *Engine) buildFrom(f FromItem, left rowSource, lv *selectLevel) (rowSource, bool, error) {
 	switch t := f.(type) {
 	case *TableRef:
-		alias := t.Alias
-		if alias == "" {
-			alias = strings.ToLower(t.Name)
+		if scan := e.scanTable(t, lv); scan != nil {
+			return scan, false, nil
 		}
-		name := strings.ToLower(t.Name)
-		if tab, ok := e.cat.Table(name); ok {
-			needed := make(map[string]bool)
-			for _, c := range tab.Columns() {
-				needed[c.Name] = referenced[c.Name] || (hasStar && !c.Hidden)
-			}
-			return newTableScan(tab, alias, needed, e.imcSource(name), t.SamplePct, env), false, nil
-		}
+		name, alias := t.resolved()
 		vd, ok := e.view(name)
 		if !ok {
 			return nil, false, fmt.Errorf("sql: no such table or view %q", t.Name)
@@ -1425,29 +1343,29 @@ func (e *Engine) buildFrom(f FromItem, left rowSource, env *planEnv, referenced 
 		if t.SamplePct > 0 {
 			return nil, false, fmt.Errorf("sql: SAMPLE is not supported on views")
 		}
-		inner, _, err := e.planSelect(vd.stmt, env)
+		inner, _, err := e.planSelectPushed(vd.stmt, lv.env, nil)
 		if err != nil {
 			return nil, false, err
 		}
 		return newAliasWrap(inner, alias, vd.names), false, nil
 	case *SubqueryRef:
-		inner, names, err := e.planSelect(t.Query, env)
+		inner, names, err := e.planSelectPushed(t.Query, lv.env, nil)
 		if err != nil {
 			return nil, false, err
 		}
 		return newAliasWrap(inner, t.Alias, names), false, nil
 	case *JSONTableRef:
-		return newJSONTableOp(left, t, env), true, nil
+		return newJSONTableOp(left, t, lv.env), true, nil
 	case *JoinRef:
-		l, lLateral, err := e.buildFrom(t.Left, left, env, referenced, hasStar, cc)
+		l, lLateral, err := e.buildFrom(t.Left, left, lv)
 		if err != nil {
 			return nil, false, err
 		}
-		r, _, err := e.buildFrom(t.Right, nil, env, referenced, hasStar, cc)
+		r, _, err := e.buildFrom(t.Right, nil, lv)
 		if err != nil {
 			return nil, false, err
 		}
-		join, err := e.planJoin(l, r, t, env, cc)
+		join, err := e.planJoin(l, r, t, lv)
 		return join, lLateral, err
 	}
 	return nil, false, fmt.Errorf("sql: unsupported FROM item %T", f)
@@ -1456,16 +1374,14 @@ func (e *Engine) buildFrom(f FromItem, left rowSource, env *planEnv, referenced 
 // planJoin picks a hash join when the ON condition contains
 // equi-conjuncts whose two sides are each computable from one input
 // (arbitrary expressions, e.g. JSON_VALUE calls, not just bare
-// columns); otherwise a cross join plus filter. With the cost-based
-// planner on, the hash table is built on whichever input is estimated
-// smaller (the build-side pick doubles as the order-preserving
-// two-way join reordering — probe order, and therefore output order,
-// never changes).
-func (e *Engine) planJoin(l, r rowSource, t *JoinRef, env *planEnv, cc *costCtx) (rowSource, error) {
-	conjuncts := splitAnd(t.On)
+// columns); otherwise a cross join plus filter. The hash table is built
+// on whichever input is estimated smaller (the build-side pick doubles
+// as the order-preserving two-way join reordering — probe order, and
+// therefore output order, never changes).
+func (e *Engine) planJoin(l, r rowSource, t *JoinRef, lv *selectLevel) (rowSource, error) {
 	var lk, rk []Expr
 	var residual Expr
-	for _, c := range conjuncts {
+	for _, c := range splitAnd(t.On) {
 		if b, ok := c.(*BinOp); ok && b.Op == "=" {
 			switch {
 			case resolvesOn(l.Schema(), b.L) && resolvesOn(r.Schema(), b.R):
@@ -1481,84 +1397,34 @@ func (e *Engine) planJoin(l, r rowSource, t *JoinRef, env *planEnv, cc *costCtx)
 		residual = andExpr(residual, c)
 	}
 	if len(lk) > 0 {
-		hj := newHashJoin(l, r, lk, rk, residual, t.LeftOuter, env)
-		if cc != nil && !e.Planner.DisableCostBasedPlanner {
-			ln, lok := cc.annotateEstimates(l)
-			rn, rok := cc.annotateEstimates(r)
-			if lok && rok && ln < rn {
-				hj.buildLeft = true
-				mCostBuildLeft.Inc()
-			}
+		hj := newHashJoin(l, r, lk, rk, residual, t.LeftOuter, lv.env)
+		ln, lok := lv.cc.annotateEstimates(l)
+		rn, rok := lv.cc.annotateEstimates(r)
+		if lok && rok && ln < rn {
+			hj.buildLeft = true
+			mCostBuildLeft.Inc()
 		}
 		return hj, nil
 	}
 	if t.LeftOuter {
 		return nil, fmt.Errorf("sql: LEFT JOIN requires an equi-join condition")
 	}
-	return &filterOp{in: newCrossJoin(l, r), pred: t.On, env: env}, nil
+	return &filterOp{in: newCrossJoin(l, r), pred: t.On, env: lv.env}, nil
 }
 
 // resolvesOn reports whether every column reference in the expression
 // resolves against the schema, and the expression references at least
 // one column (a constant is not a useful join key side).
 func resolvesOn(s Schema, e Expr) bool {
-	cols := exprColRefs(e)
-	if len(cols) == 0 {
-		return false
-	}
-	for _, c := range cols {
-		if _, err := s.Resolve(c.Table, c.Name); err != nil {
-			return false
+	some, all := false, true
+	walkExpr(e, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok {
+			_, err := s.Resolve(c.Table, c.Name)
+			some, all = true, all && err == nil
 		}
-	}
-	return true
-}
-
-func exprColRefs(e Expr) []*ColRef {
-	var out []*ColRef
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch t := x.(type) {
-		case nil:
-		case *ColRef:
-			out = append(out, t)
-		case *BinOp:
-			walk(t.L)
-			walk(t.R)
-		case *UnOp:
-			walk(t.X)
-		case *IsNullExpr:
-			walk(t.X)
-		case *InExpr:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *LikeExpr:
-			walk(t.X)
-			walk(t.Pattern)
-		case *BetweenExpr:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *JSONValueExpr:
-			walk(t.Arg)
-		case *JSONExistsExpr:
-			walk(t.Arg)
-		case *JSONQueryExpr:
-			walk(t.Arg)
-		case *JSONTextContainsExpr:
-			walk(t.Arg)
-		case *OSONExpr:
-			walk(t.Arg)
-		}
-	}
-	walk(e)
-	return out
+		return all
+	})
+	return some && all
 }
 
 func splitAnd(e Expr) []Expr {
@@ -1623,341 +1489,63 @@ func itemName(it SelectItem, pos int) string {
 }
 
 // collectReferenced gathers every column name referenced anywhere in
-// the statement (for lazy virtual-column evaluation) and whether any
-// star projection occurs.
-func collectReferenced(stmt *SelectStmt) (map[string]bool, bool) {
+// the statement or in the conjuncts pushed into it (for lazy
+// virtual-column evaluation) and whether its select list has a star.
+func collectReferenced(stmt *SelectStmt, where Expr) (map[string]bool, bool) {
 	names := make(map[string]bool)
+	note := func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok {
+			names[c.Name] = true
+		}
+		return true
+	}
+	walkSelect(stmt, true, note)
+	walkExpr(where, note)
 	star := false
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch t := e.(type) {
-		case nil:
-		case *ColRef:
-			names[t.Name] = true
-		case *BinOp:
-			walkExpr(t.L)
-			walkExpr(t.R)
-		case *UnOp:
-			walkExpr(t.X)
-		case *IsNullExpr:
-			walkExpr(t.X)
-		case *InExpr:
-			walkExpr(t.X)
-			for _, x := range t.List {
-				walkExpr(x)
-			}
-		case *LikeExpr:
-			walkExpr(t.X)
-			walkExpr(t.Pattern)
-		case *BetweenExpr:
-			walkExpr(t.X)
-			walkExpr(t.Lo)
-			walkExpr(t.Hi)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walkExpr(a)
-			}
-		case *WindowFunc:
-			for _, a := range t.Args {
-				walkExpr(a)
-			}
-			for _, o := range t.OrderBy {
-				walkExpr(o.Expr)
-			}
-		case *JSONValueExpr:
-			walkExpr(t.Arg)
-		case *JSONExistsExpr:
-			walkExpr(t.Arg)
-		case *JSONQueryExpr:
-			walkExpr(t.Arg)
-		case *JSONTextContainsExpr:
-			walkExpr(t.Arg)
-		case *OSONExpr:
-			walkExpr(t.Arg)
-		}
+	for _, it := range stmt.Items {
+		star = star || it.Star
 	}
-	var walkSelect func(s *SelectStmt)
-	walkSelect = func(s *SelectStmt) {
-		for _, it := range s.Items {
-			if it.Star {
-				star = true
-			}
-			walkExpr(it.Expr)
-		}
-		walkExpr(s.Where)
-		walkExpr(s.Having)
-		for _, g := range s.GroupBy {
-			walkExpr(g)
-		}
-		for _, o := range s.OrderBy {
-			walkExpr(o.Expr)
-		}
-		for _, f := range s.From {
-			var walkFrom func(FromItem)
-			walkFrom = func(fi FromItem) {
-				switch t := fi.(type) {
-				case *SubqueryRef:
-					walkSelect(t.Query)
-				case *JSONTableRef:
-					walkExpr(t.Arg)
-				case *JoinRef:
-					walkFrom(t.Left)
-					walkFrom(t.Right)
-					walkExpr(t.On)
-				}
-			}
-			walkFrom(f)
-		}
-	}
-	walkSelect(stmt)
 	return names, star
 }
 
 // applyVCRewrites replaces JSON_VALUE expressions with references to
-// matching virtual columns for single-table queries (§5.2.1): when the
-// VC is populated in the in-memory columnar store, the predicate then
-// reads the column vector instead of evaluating the path.
+// matching virtual columns of this query level's tables (§5.2.1): when
+// the VC is populated in the in-memory columnar store, the predicate
+// then reads the column vector instead of evaluating the path.
 func (e *Engine) applyVCRewrites(stmt *SelectStmt) {
 	if e.Planner.DisableVCRewrite {
 		return
 	}
-	// collect the tables in FROM (including join trees) by alias
 	byAlias := make(map[string]map[string]string) // alias -> exprKey -> vc
 	single := ""
-	var collect func(FromItem)
-	collect = func(f FromItem) {
-		switch t := f.(type) {
-		case *TableRef:
-			name := strings.ToLower(t.Name)
-			rewrites := e.vcRewritesFor(name)
-			if len(rewrites) == 0 {
-				return
-			}
-			alias := t.Alias
-			if alias == "" {
-				alias = name
-			}
-			byAlias[alias] = rewrites
-			if single == "" {
-				single = alias
-			} else {
-				single = "\x00" // more than one candidate: unqualified refs stay
-			}
-		case *JoinRef:
-			collect(t.Left)
-			collect(t.Right)
-		}
-	}
 	for _, f := range stmt.From {
-		collect(f)
+		eachTableRef(f, func(t *TableRef) {
+			name, alias := t.resolved()
+			if rewrites := e.vcRewritesFor(name); len(rewrites) > 0 {
+				byAlias[alias] = rewrites
+				single = alias
+			}
+		})
+	}
+	if len(byAlias) != 1 {
+		single = "" // more than one candidate: unqualified refs stay
 	}
 	if len(byAlias) == 0 {
 		return
 	}
-	lookup := func(t *JSONValueExpr) (string, string, bool) {
-		key := exprKey(t)
+	rewriteSelect(stmt, false, func(x Expr) Expr {
+		key := exprKey(x)
 		if key == "" {
-			return "", "", false
+			return x
 		}
-		arg := t.Arg.(*ColRef)
-		if arg.Table != "" {
-			if rewrites, ok := byAlias[arg.Table]; ok {
-				if vc, ok := rewrites[key]; ok {
-					return arg.Table, vc, true
-				}
-			}
-			return "", "", false
+		arg := x.(*JSONValueExpr).Arg.(*ColRef)
+		alias := arg.Table
+		if alias == "" {
+			alias = single
 		}
-		if single != "" && single != "\x00" {
-			if vc, ok := byAlias[single][key]; ok {
-				return "", vc, true
-			}
-		}
-		return "", "", false
-	}
-	var rw func(Expr) Expr
-	rw = func(x Expr) Expr {
-		switch t := x.(type) {
-		case *JSONValueExpr:
-			if table, vc, ok := lookup(t); ok {
-				return &ColRef{Table: table, Name: vc}
-			}
-		case *BinOp:
-			t.L, t.R = rw(t.L), rw(t.R)
-		case *UnOp:
-			t.X = rw(t.X)
-		case *IsNullExpr:
-			t.X = rw(t.X)
-		case *InExpr:
-			t.X = rw(t.X)
-			for i := range t.List {
-				t.List[i] = rw(t.List[i])
-			}
-		case *BetweenExpr:
-			t.X, t.Lo, t.Hi = rw(t.X), rw(t.Lo), rw(t.Hi)
-		case *LikeExpr:
-			t.X, t.Pattern = rw(t.X), rw(t.Pattern)
-		case *FuncCall:
-			for i := range t.Args {
-				t.Args[i] = rw(t.Args[i])
-			}
-		case *WindowFunc:
-			for i := range t.Args {
-				t.Args[i] = rw(t.Args[i])
-			}
+		if vc, ok := byAlias[alias][key]; ok {
+			return &ColRef{Table: arg.Table, Name: vc}
 		}
 		return x
-	}
-	for i := range stmt.Items {
-		if stmt.Items[i].Expr != nil {
-			stmt.Items[i].Expr = rw(stmt.Items[i].Expr)
-		}
-	}
-	if stmt.Where != nil {
-		stmt.Where = rw(stmt.Where)
-	}
-	for i := range stmt.GroupBy {
-		stmt.GroupBy[i] = rw(stmt.GroupBy[i])
-	}
-	if stmt.Having != nil {
-		stmt.Having = rw(stmt.Having)
-	}
-	for i := range stmt.OrderBy {
-		if stmt.OrderBy[i].Expr != nil {
-			stmt.OrderBy[i].Expr = rw(stmt.OrderBy[i].Expr)
-		}
-	}
-	var rwFrom func(FromItem)
-	rwFrom = func(f FromItem) {
-		if j, ok := f.(*JoinRef); ok {
-			j.On = rw(j.On)
-			rwFrom(j.Left)
-			rwFrom(j.Right)
-		}
-	}
-	for _, f := range stmt.From {
-		rwFrom(f)
-	}
-}
-
-// validateColumns resolves every column reference in the statement's
-// expressions against the plan schema, rejecting unknown or ambiguous
-// names at compile time.
-func validateColumns(stmt *SelectStmt, sch Schema) error {
-	var err error
-	var walk func(Expr)
-	walk = func(x Expr) {
-		if err != nil {
-			return
-		}
-		switch t := x.(type) {
-		case nil:
-		case *ColRef:
-			if _, rerr := sch.Resolve(t.Table, t.Name); rerr != nil {
-				err = rerr
-			}
-		case *BinOp:
-			walk(t.L)
-			walk(t.R)
-		case *UnOp:
-			walk(t.X)
-		case *IsNullExpr:
-			walk(t.X)
-		case *InExpr:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *LikeExpr:
-			walk(t.X)
-			walk(t.Pattern)
-		case *BetweenExpr:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *WindowFunc:
-			for _, a := range t.Args {
-				walk(a)
-			}
-			for _, o := range t.OrderBy {
-				walk(o.Expr)
-			}
-		case *JSONValueExpr:
-			walk(t.Arg)
-		case *JSONExistsExpr:
-			walk(t.Arg)
-		case *JSONQueryExpr:
-			walk(t.Arg)
-		case *JSONTextContainsExpr:
-			walk(t.Arg)
-		case *OSONExpr:
-			walk(t.Arg)
-		}
-	}
-	for _, it := range stmt.Items {
-		walk(it.Expr)
-	}
-	walk(stmt.Where)
-	walk(stmt.Having)
-	for _, g := range stmt.GroupBy {
-		walk(g)
-	}
-	for _, o := range stmt.OrderBy {
-		walk(o.Expr)
-	}
-	return err
-}
-
-func collectAggs(e Expr, out *[]*FuncCall) {
-	switch t := e.(type) {
-	case nil:
-	case *FuncCall:
-		if aggregateFuncs[t.Name] {
-			*out = append(*out, t)
-			return
-		}
-		for _, a := range t.Args {
-			collectAggs(a, out)
-		}
-	case *BinOp:
-		collectAggs(t.L, out)
-		collectAggs(t.R, out)
-	case *UnOp:
-		collectAggs(t.X, out)
-	case *IsNullExpr:
-		collectAggs(t.X, out)
-	case *InExpr:
-		collectAggs(t.X, out)
-		for _, a := range t.List {
-			collectAggs(a, out)
-		}
-	case *LikeExpr:
-		collectAggs(t.X, out)
-		collectAggs(t.Pattern, out)
-	case *BetweenExpr:
-		collectAggs(t.X, out)
-		collectAggs(t.Lo, out)
-		collectAggs(t.Hi, out)
-	}
-}
-
-func collectWins(e Expr, out *[]*WindowFunc) {
-	switch t := e.(type) {
-	case nil:
-	case *WindowFunc:
-		*out = append(*out, t)
-	case *BinOp:
-		collectWins(t.L, out)
-		collectWins(t.R, out)
-	case *UnOp:
-		collectWins(t.X, out)
-	case *FuncCall:
-		for _, a := range t.Args {
-			collectWins(a, out)
-		}
-	}
+	})
 }

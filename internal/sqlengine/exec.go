@@ -66,6 +66,10 @@ type planEnv struct {
 	winCols map[*WindowFunc]int
 }
 
+func newPlanEnv(params []jsondom.Value) *planEnv {
+	return &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
+}
+
 func (e *planEnv) ctx(sch Schema, row []jsondom.Value) *evalCtx {
 	return &evalCtx{schema: sch, row: row, params: e.params,
 		aggCols: e.aggCols, winCols: e.winCols}
@@ -84,11 +88,14 @@ func (e *planEnv) bindCtx(sch Schema, exprs ...Expr) *evalCtx {
 }
 
 func bindCols(e Expr, sch Schema, m map[*ColRef]int) {
-	for _, c := range exprColRefs(e) {
-		if i, err := sch.Resolve(c.Table, c.Name); err == nil {
-			m[c] = i
+	walkExpr(e, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok {
+			if i, err := sch.Resolve(c.Table, c.Name); err == nil {
+				m[c] = i
+			}
 		}
-	}
+		return true
+	})
 }
 
 // InMemorySource substitutes column values during a scan, modeling the
@@ -229,16 +236,6 @@ type tableScan struct {
 	// the consumer, recycled on the next NextBatch call.
 	arena rowArena
 	out   *Batch
-}
-
-func newTableScan(tab *store.Table, alias string, needed map[string]bool, sub InMemorySource, samplePct float64, env *planEnv) *tableScan {
-	cols := tab.Columns()
-	ts := &tableScan{tab: tab, alias: alias, cols: cols, sub: sub, samplePct: samplePct, env: env}
-	for _, c := range cols {
-		ts.sch = append(ts.sch, ColMeta{Table: alias, Name: c.Name, Hidden: c.Hidden})
-		ts.needVC = append(ts.needVC, needed == nil || needed[c.Name])
-	}
-	return ts
 }
 
 // cloneForRange derives a worker scan restricted to [lo, hi). The
@@ -382,7 +379,10 @@ func (s *tableScan) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 // stored values, referenced virtual columns — and applies the
 // row-level fallback predicate; match=false rejects the row.
 func (s *tableScan) materialize(rowID int, row store.Row) (out []jsondom.Value, match bool, err error) {
-	out = s.arena.alloc(len(s.cols))
+	out = s.arena.alloc(len(s.sch))
+	if len(out) > len(s.cols) {
+		out[len(s.cols)] = jsondom.NumberFromInt(int64(rowID)) // rowIDColumn
+	}
 	for i, c := range s.cols {
 		// unreferenced columns are never read downstream: skip the
 		// in-memory substitution (and its per-column decode) entirely
@@ -1048,7 +1048,7 @@ type hashJoin struct {
 	// keyBuf is the keyOf scratch for the build and probe loops.
 	keyBuf []byte
 
-	// buildLeft is the cost-based planner's build-side choice: when the
+	// buildLeft is the cost model's build-side choice: when the
 	// LEFT input is estimated smaller, the hash table is built on it and
 	// the right side streams past once. Emission stays left-major with
 	// right rows in scan order — bit-for-bit the generic build-right

@@ -354,7 +354,7 @@ func (s *tableScan) vectorFor(c *ColRef) (*imc.Vector, bool) {
 		return nil, false
 	}
 	i, err := s.sch.Resolve(c.Table, c.Name)
-	if err != nil {
+	if err != nil || i >= len(s.cols) { // the hidden row id has no vector
 		return nil, false
 	}
 	return vs.Vector(s.cols[i].Name)

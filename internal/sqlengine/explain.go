@@ -16,11 +16,11 @@ import (
 )
 
 func (e *Engine) runExplain(ctx context.Context, t *ExplainStmt, params []jsondom.Value) (*Result, error) {
-	env := &planEnv{params: params, aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
-	src, _, err := e.planSelectPushed(t.Query, env, nil)
+	plan, err := e.planSelectStmt(t.Query)
 	if err != nil {
 		return nil, err
 	}
+	src := plan.instantiate(params)
 	if t.Analyze {
 		if _, _, _, err := e.drainSource(ctx, src, nil, true, nil); err != nil {
 			return nil, err
@@ -60,7 +60,7 @@ func (e *Engine) planCacheStatus(queryText string) string {
 		return "miss"
 	case ent.gen != e.planGen.Load() || ent.opts != e.plannerSnapshot():
 		return "stale"
-	case !ent.opts.DisableCostBasedPlanner && ent.statsFP != planStatsFP(ent.plan.root):
+	case ent.statsFP != planStatsFP(ent.plan.root):
 		return "stale"
 	}
 	return "hit"

@@ -61,99 +61,16 @@ func litValue(t token) (jsondom.Value, error) {
 	return jsondom.String(t.text), nil
 }
 
-// rewriteSelect applies rw bottom-up to every expression in the
-// statement, including subqueries and join conditions, reassigning
-// each expression field to rw's result.
-func rewriteSelect(stmt *SelectStmt, rw func(Expr) Expr) {
-	for i := range stmt.Items {
-		stmt.Items[i].Expr = rewriteExpr(stmt.Items[i].Expr, rw)
-	}
-	for i := range stmt.From {
-		stmt.From[i] = rewriteFrom(stmt.From[i], rw)
-	}
-	stmt.Where = rewriteExpr(stmt.Where, rw)
-	for i := range stmt.GroupBy {
-		stmt.GroupBy[i] = rewriteExpr(stmt.GroupBy[i], rw)
-	}
-	stmt.Having = rewriteExpr(stmt.Having, rw)
-	for i := range stmt.OrderBy {
-		stmt.OrderBy[i].Expr = rewriteExpr(stmt.OrderBy[i].Expr, rw)
-	}
-}
-
-func rewriteFrom(f FromItem, rw func(Expr) Expr) FromItem {
-	switch t := f.(type) {
-	case *SubqueryRef:
-		rewriteSelect(t.Query, rw)
-	case *JSONTableRef:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	case *JoinRef:
-		t.Left = rewriteFrom(t.Left, rw)
-		t.Right = rewriteFrom(t.Right, rw)
-		t.On = rewriteExpr(t.On, rw)
-	}
-	return f
-}
-
-func rewriteExpr(e Expr, rw func(Expr) Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch t := e.(type) {
-	case *BinOp:
-		t.L = rewriteExpr(t.L, rw)
-		t.R = rewriteExpr(t.R, rw)
-	case *UnOp:
-		t.X = rewriteExpr(t.X, rw)
-	case *IsNullExpr:
-		t.X = rewriteExpr(t.X, rw)
-	case *InExpr:
-		t.X = rewriteExpr(t.X, rw)
-		for i := range t.List {
-			t.List[i] = rewriteExpr(t.List[i], rw)
-		}
-	case *LikeExpr:
-		t.X = rewriteExpr(t.X, rw)
-		t.Pattern = rewriteExpr(t.Pattern, rw)
-	case *BetweenExpr:
-		t.X = rewriteExpr(t.X, rw)
-		t.Lo = rewriteExpr(t.Lo, rw)
-		t.Hi = rewriteExpr(t.Hi, rw)
-	case *FuncCall:
-		for i := range t.Args {
-			t.Args[i] = rewriteExpr(t.Args[i], rw)
-		}
-	case *WindowFunc:
-		for i := range t.Args {
-			t.Args[i] = rewriteExpr(t.Args[i], rw)
-		}
-		for i := range t.OrderBy {
-			t.OrderBy[i].Expr = rewriteExpr(t.OrderBy[i].Expr, rw)
-		}
-	case *JSONValueExpr:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	case *JSONExistsExpr:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	case *JSONQueryExpr:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	case *JSONTextContainsExpr:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	case *OSONExpr:
-		t.Arg = rewriteExpr(t.Arg, rw)
-	}
-	return rw(e)
-}
-
 // collectParamLiterals walks the statement and returns, keyed by
 // source token offset, every Literal that literal auto-
 // parameterization may replace with a bind slot.
 func collectParamLiterals(stmt *SelectStmt) map[int]*Literal {
 	byOff := make(map[int]*Literal)
-	rewriteSelect(stmt, func(x Expr) Expr {
+	walkSelect(stmt, true, func(x Expr) bool {
 		if l, ok := x.(*Literal); ok && l.Off > 0 {
 			byOff[l.Off] = l
 		}
-		return x
+		return true
 	})
 	return byOff
 }

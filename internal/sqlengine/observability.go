@@ -96,7 +96,6 @@ var (
 // statistics actually changed a plan, and how often statistics drift
 // invalidated a cached one.
 var (
-	mCostPlans      = metrics.NewCounter("sql.planner.cost.plans", "SELECT plans produced with the cost-based planner enabled")
 	mCostReorders   = metrics.NewCounter("sql.planner.cost.conjunct_reorders", "WHERE clauses whose AND-conjuncts were reordered most-selective-first")
 	mCostBuildLeft  = metrics.NewCounter("sql.planner.cost.join_build_left", "hash joins built on the left (estimated smaller) input")
 	mCostIndexSkips = metrics.NewCounter("sql.planner.cost.index_skips", "index-postings scans demoted to vectorized scans by the selectivity crossover")
@@ -180,8 +179,8 @@ func (e *Engine) runShowMetrics() (*Result, error) {
 }
 
 // runShowStats executes SHOW STATS (and the bare STATS shorthand): the
-// SHOW METRICS rows followed by the optimizer statistics the
-// cost-based planner reads — per-table row counts, per-guide document
+// SHOW METRICS rows followed by the optimizer statistics the cost
+// model reads — per-table row counts, per-guide document
 // and path counts with the per-path monoid statistics (frequency,
 // non-null count, NDV estimate), and the populated IMC column
 // statistics.

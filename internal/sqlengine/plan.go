@@ -33,7 +33,7 @@ type preparedPlan struct {
 // AST becomes part of the plan (planning rewrites it in place), so
 // callers must not reuse it for anything else.
 func (e *Engine) planSelectStmt(stmt *SelectStmt) (*preparedPlan, error) {
-	env := &planEnv{aggCols: map[*FuncCall]int{}, winCols: map[*WindowFunc]int{}}
+	env := newPlanEnv(nil)
 	src, names, err := e.planSelectPushed(stmt, env, nil)
 	if err != nil {
 		return nil, err

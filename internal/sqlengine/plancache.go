@@ -42,7 +42,7 @@ type planEntry struct {
 	nUser, nSlots int
 	// statsFP fingerprints the power-of-two size buckets of the base
 	// tables the plan reads (planStatsFP); a lookup whose recomputed
-	// fingerprint differs re-plans, so cost-based decisions track
+	// fingerprint differs re-plans, so the cost model's decisions track
 	// statistics drift.
 	statsFP uint64
 }
@@ -229,7 +229,7 @@ func (e *Engine) buildEntry(key string, sel *SelectStmt, lits []token, nUser int
 	}
 	ent.nSlots = slot
 	if len(assign) > 0 {
-		rewriteSelect(sel, func(x Expr) Expr {
+		rewriteSelect(sel, true, func(x Expr) Expr {
 			if l, ok := x.(*Literal); ok && l.Off > 0 {
 				if s, ok := assign[l.Off]; ok {
 					return &Param{Index: s}
@@ -264,7 +264,7 @@ func (e *Engine) execCached(ctx context.Context, sql string, params []jsondom.Va
 	if ent := e.plans.get(key); ent != nil {
 		if ent.gen != gen || ent.opts != opts {
 			e.plans.remove(key)
-		} else if !opts.DisableCostBasedPlanner && ent.statsFP != planStatsFP(ent.plan.root) {
+		} else if ent.statsFP != planStatsFP(ent.plan.root) {
 			// statistics drift: the plan's cost decisions were made
 			// against table sizes that have since crossed a
 			// power-of-two bucket — re-plan with fresh estimates

@@ -28,7 +28,7 @@ import (
 // parameter constants into an implied filter.
 func attachPrefilters(op *jsonTableOp, where Expr) {
 	for _, c := range splitAnd(where) {
-		if exprHasParam(c) {
+		if exprContains(c, func(x Expr) bool { _, ok := x.(*Param); return ok }) {
 			op.preSpecs = append(op.preSpecs, c)
 			continue
 		}
@@ -36,65 +36,6 @@ func attachPrefilters(op *jsonTableOp, where Expr) {
 			op.preFilters = append(op.preFilters, pf)
 		}
 	}
-}
-
-// exprHasParam reports whether the expression references a bind
-// parameter anywhere.
-func exprHasParam(e Expr) bool {
-	found := false
-	var walk func(Expr)
-	walk = func(x Expr) {
-		if found {
-			return
-		}
-		switch t := x.(type) {
-		case nil:
-		case *Param:
-			found = true
-		case *BinOp:
-			walk(t.L)
-			walk(t.R)
-		case *UnOp:
-			walk(t.X)
-		case *IsNullExpr:
-			walk(t.X)
-		case *InExpr:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *LikeExpr:
-			walk(t.X)
-			walk(t.Pattern)
-		case *BetweenExpr:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *FuncCall:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *WindowFunc:
-			for _, a := range t.Args {
-				walk(a)
-			}
-			for _, o := range t.OrderBy {
-				walk(o.Expr)
-			}
-		case *JSONValueExpr:
-			walk(t.Arg)
-		case *JSONExistsExpr:
-			walk(t.Arg)
-		case *JSONQueryExpr:
-			walk(t.Arg)
-		case *JSONTextContainsExpr:
-			walk(t.Arg)
-		case *OSONExpr:
-			walk(t.Arg)
-		}
-	}
-	walk(e)
-	return found
 }
 
 // translatePrefilter converts one conjunct into a compiled path, or

@@ -19,8 +19,8 @@ import (
 // TestSpineSurfaceIsPinned makes the next planner knob or corpus config
 // a deliberate edit: each one multiplies what the corpus has to cover.
 func TestSpineSurfaceIsPinned(t *testing.T) {
-	if n := reflect.TypeOf(PlannerOptions{}).NumField(); n != 9 {
-		t.Errorf("PlannerOptions has %d fields, want 9", n)
+	if n := reflect.TypeOf(PlannerOptions{}).NumField(); n != 8 {
+		t.Errorf("PlannerOptions has %d fields, want 8", n)
 	}
 	if n := len(corpusConfigs()); n != 2 {
 		t.Errorf("corpus matrix has %d planner configs, want 2", n)
