@@ -71,11 +71,16 @@ bench-module:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # ROADMAP aim 2's tracked metric: non-test lines of the engine package,
-# as a ratchet. ISSUE 17 reached 10,181; LOC_MAX leaves it some twenty
+# as a ratchet. ISSUE 17 reached 10,181; LOC_MAX leaves some twenty
 # lines of headroom so that a comment or a gofmt-wrapped literal does
 # not trip it. A PR that shrinks the engine lowers it, one that must
 # grow it past the headroom raises it in the same diff and says why.
-LOC_MAX := 10200
+# ISSUE 19 raised it from 10,200: the primary-key access path (pkAccess,
+# the decline-at-Open arm of tableScan and its EXPLAIN line: +64), the
+# plan cache's per-shape record of which literals are structure (+26,
+# after giving back bindLits' fixed-text compare and one of get / peek)
+# and the arena's growth policy (+16) are new mechanism: 10,287 lines.
+LOC_MAX := 10310
 loc:
 	@n=$$(ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "sqlengine non-test lines: $$n (ratchet $(LOC_MAX))"; \

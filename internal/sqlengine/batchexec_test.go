@@ -120,9 +120,9 @@ func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	}
 }
 
-func explainPlan(t *testing.T, e *Engine, sql string) string {
+func explainPlan(t *testing.T, e *Engine, sql string, params ...jsondom.Value) string {
 	t.Helper()
-	r := mustExec(t, e, sql)
+	r := mustExec(t, e, sql, params...)
 	var b strings.Builder
 	for _, row := range r.Rows {
 		b.WriteString(string(row[0].(jsondom.String)))

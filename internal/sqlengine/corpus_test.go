@@ -226,6 +226,7 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 	mustExec(t, e, `alter table lk add virtual column vk as json_value(jdoc, '$.k')`)
 	mustExec(t, e, `alter table lk add virtual column vw as json_value(jdoc, '$.w' returning number)`)
 	mustExec(t, e, `create view lkw as select lid, (lag(vw) over (order by lid)) is null as first from lk`)
+	mustExec(t, e, `create view dv as select did, vs from d`)
 	for _, tab := range []string{"t", "td"} {
 		mustExec(t, e, `alter table `+tab+` add virtual column vn as json_value(jdoc, '$.n' returning number)`)
 		mustExec(t, e, `alter table `+tab+` add virtual column vs as json_value(jdoc, '$.s')`)

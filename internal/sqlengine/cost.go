@@ -494,6 +494,11 @@ func (cc *costCtx) setScanEstimate(scan *tableScan, orig, residual Expr) {
 	if scan.samplePct > 0 {
 		n = int64(float64(n) * scan.samplePct / 100)
 	}
+	if scan.rowIDsVia == "pk" {
+		// a key names at most one row, whatever the column statistics say
+		scan.setEstRows(min(n, 1))
+		return
+	}
 	resid := make(map[Expr]bool)
 	for _, c := range splitAnd(residual) {
 		resid[c] = true

@@ -83,7 +83,10 @@ func checkModel(t *testing.T, e *Engine, model map[int]*modelRow, step int, last
 // tombstones, whose vectors are misaligned with the row ids (ROADMAP
 // item 2). A write must come out right in all of them. SELECT still
 // trusts the store (item 2 is about exactly that), so the test's own
-// reads detach a store that is no longer fresh.
+// reads detach a store that is no longer fresh. The key-equality
+// UPDATE and DELETE arms go through the primary-key lookup in every one
+// of those states and under both configs (a row-id scan never fans
+// out): their scan selects the one row, or none when the key is gone.
 func TestDMLInterleavingAgainstModel(t *testing.T) {
 	num := func(v int) jsondom.Value { return jsondom.NumberFromInt(int64(v)) }
 	for _, withIMC := range []bool{false, true} {
@@ -93,6 +96,12 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			label := fmt.Sprintf("imc=%v %s", withIMC, cfg.label)
 			nextID, deleted, stale := dmlModelRows, false, false
+			for _, q := range []string{`id = 5`, `id = ?`, `? = id and n > 0`} {
+				plan := explainPlan(t, e, `explain select id from m where `+q, num(5))
+				if !strings.Contains(plan, "TableScan(m via-pk)") || strings.Contains(plan, "ParallelScan") {
+					t.Fatalf("%s: where %s does not plan a serial key lookup:\n%s", label, q, plan)
+				}
+			}
 			read := func() { // about to SELECT: the store must be fresh
 				if stale {
 					e.DetachIMC("m")
@@ -108,14 +117,15 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				var params []jsondom.Value
 				var hit func(id int, r *modelRow) bool
 				var apply func(r *modelRow) // nil deletes the row
+				byKey := false              // the predicate is `id = ...` alone
 				id, c := rng.Intn(nextID), rng.Intn(8)
 				switch op := rng.Intn(12); op {
 				case 0:
-					sql = fmt.Sprintf(`update m set n = n + 1 where id = %d`, id)
+					sql, byKey = fmt.Sprintf(`update m set n = n + 1 where id = %d`, id), true
 					hit = func(i int, _ *modelRow) bool { return i == id }
 					apply = func(r *modelRow) { r.n++ }
 				case 1:
-					sql, params = `update m set n = ? where id = ?`, []jsondom.Value{num(c), num(id)}
+					sql, params, byKey = `update m set n = ? where id = ?`, []jsondom.Value{num(c), num(id)}, true
 					hit = func(i int, _ *modelRow) bool { return i == id }
 					apply = func(r *modelRow) { r.n = c }
 				case 2:
@@ -148,7 +158,7 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 					}
 					continue
 				case 7:
-					sql, params = `delete from m where id = ?`, []jsondom.Value{num(id)}
+					sql, params, byKey = `delete from m where id = ?`, []jsondom.Value{num(id)}, true
 					hit = func(i int, _ *modelRow) bool { return i == id }
 				case 8:
 					sql, params = `delete from m where vk = ? and n > ?`, []jsondom.Value{num(c), num(100 + c)}
@@ -176,8 +186,12 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 						}
 					}
 				}
+				scanned := mScanRows.Value()
 				if got := fmt.Sprint(mustExec(t, e, sql, params...).Rows); got != fmt.Sprintf("[[%d]]", want) {
 					t.Fatalf("%s step %d: %s affected %s rows, want %d", label, step, sql, got, want)
+				}
+				if scanned = mScanRows.Value() - scanned; byKey && scanned != int64(want) {
+					t.Fatalf("%s step %d: %s scanned %d rows to write %d", label, step, sql, scanned, want)
 				}
 				stale = false // the statement detached the store
 				if step%10 == 9 {

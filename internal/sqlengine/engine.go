@@ -981,12 +981,17 @@ func (e *Engine) scanTable(t *TableRef, lv *selectLevel) *tableScan {
 }
 
 // chooseAccessPath lets the WHERE conjuncts pick how a single-table
-// scan finds its rows — search-index postings, vector kernels, or the
-// plain scan — and returns the residual predicate. When the postings
-// are estimated to cover a large table fraction and vector kernels are
-// available, the sparse row-id list loses its point and the kernels
-// win; both paths return the same rows in ascending row-id order.
+// scan finds its rows — a primary-key probe, search-index postings,
+// vector kernels, or the plain scan, in that order — and returns the
+// residual predicate. A key probe yields at most one row, so nothing
+// can beat it. When the postings are estimated to cover a large table
+// fraction and vector kernels are available, the sparse row-id list
+// loses its point and the kernels win; both paths return the same rows
+// in ascending row-id order.
 func (e *Engine) chooseAccessPath(scan *tableScan, where Expr, cc *costCtx) Expr {
+	if residual, ok := pkAccess(scan, where); ok {
+		return residual
+	}
 	residual, ok := e.indexAccess(scan, where)
 	if !ok {
 		residual, _ = e.vectorAccess(scan, where)
@@ -994,12 +999,51 @@ func (e *Engine) chooseAccessPath(scan *tableScan, where Expr, cc *costCtx) Expr
 	}
 	if sel, known := cc.indexScanSelectivity(where, residual); known && sel > costIndexMaxSel {
 		if vres, vok := e.vectorAccess(scan, where); vok {
-			scan.rowIDsFn = nil
+			scan.rowIDsFn, scan.rowIDsVia = nil, ""
 			mCostIndexSkips.Inc()
 			return vres
 		}
 	}
 	return residual
+}
+
+// pkAccess turns the first conjunct `pk = literal | ?` (either side)
+// into a one-candidate row-id scan; the other conjuncts are the
+// residual. The key is probed at Open, with the execution's bind value
+// and under the table lock that Insert / Update / Delete maintain the
+// key index under. The probe declines — and the scan reads every row,
+// applying the conjunct itself — whenever the index's notion of
+// equality (equal serialised keys) and SQL's might differ on this
+// table or this constant: store.Table.ProbePK says when.
+func pkAccess(scan *tableScan, where Expr) (Expr, bool) {
+	pk, ok := scan.tab.PrimaryKey()
+	if !ok {
+		return where, false
+	}
+	conjs := splitAnd(where)
+	for i, c := range conjs {
+		spec, ok := recognizeVecFilter(c)
+		if !ok || spec.op != "=" || spec.col != pk || (spec.table != "" && spec.table != scan.alias) {
+			continue // a qualifier that is not this table's is for binding to report
+		}
+		tab := scan.tab
+		scan.rowIDsVia, scan.rowIDsPred = "pk", c
+		scan.rowIDsFn = func(env *planEnv) ([]int, bool) {
+			// a missing bind declines too: the row-level conjunct reports
+			// it with the usual message
+			vals, ok := spec.operandValues(env)
+			if !ok {
+				return nil, false
+			}
+			rowID, found, exact := tab.ProbePK(vals[0])
+			if !found {
+				return nil, exact
+			}
+			return []int{rowID}, true
+		}
+		return joinAnd(append(conjs[:i:i], conjs[i+1:]...)), true
+	}
+	return where, false
 }
 
 // vectorAccess compiles WHERE conjuncts over vector-backed columns of
@@ -1062,10 +1106,10 @@ func recognizeVecFilter(c Expr) (vecFilterSpec, bool) {
 			return vecFilterSpec{}, false
 		}
 		if col, ok := t.L.(*ColRef); ok && isConst(t.R) {
-			return vecFilterSpec{col: col.Name, op: t.Op, operands: []Expr{t.R}, orig: c}, true
+			return vecFilterSpec{table: col.Table, col: col.Name, op: t.Op, operands: []Expr{t.R}, orig: c}, true
 		}
 		if col, ok := t.R.(*ColRef); ok && isConst(t.L) {
-			return vecFilterSpec{col: col.Name, op: flip[t.Op], operands: []Expr{t.L}, orig: c}, true
+			return vecFilterSpec{table: col.Table, col: col.Name, op: flip[t.Op], operands: []Expr{t.L}, orig: c}, true
 		}
 	case *BetweenExpr:
 		if t.Not {
@@ -1073,7 +1117,7 @@ func recognizeVecFilter(c Expr) (vecFilterSpec, bool) {
 		}
 		col, ok := t.X.(*ColRef)
 		if ok && isConst(t.Lo) && isConst(t.Hi) {
-			return vecFilterSpec{col: col.Name, op: "between", operands: []Expr{t.Lo, t.Hi}, orig: c}, true
+			return vecFilterSpec{table: col.Table, col: col.Name, op: "between", operands: []Expr{t.Lo, t.Hi}, orig: c}, true
 		}
 	}
 	return vecFilterSpec{}, false
@@ -1123,15 +1167,13 @@ func (e *Engine) indexAccess(scan *tableScan, where Expr) (Expr, bool) {
 	}
 	// postings are read at Open, per execution, so a cached plan picks
 	// up rows inserted after planning
-	scan.rowIDsFn = func() []int {
+	scan.rowIDsVia = "index"
+	scan.rowIDsFn = func(*planEnv) ([]int, bool) {
 		var rowIDs []int
 		for i, g := range getters {
 			rowIDs = restrictIDs(rowIDs, g(), i > 0)
 		}
-		if rowIDs == nil {
-			rowIDs = []int{}
-		}
-		return rowIDs
+		return rowIDs, true
 	}
 	return residual, true
 }

@@ -131,9 +131,9 @@ type BatchFilterSource interface {
 // evaluating the original conjunct per materialized row when the
 // vector compile declines (missing vector, operand type mismatch).
 type vecFilterSpec struct {
-	col, op  string
-	operands []Expr // Literal or Param leaves
-	orig     Expr   // the source conjunct, for the row-level fallback
+	table, col, op string // table is the column's qualifier as written, "" when bare
+	operands       []Expr // Literal or Param leaves
+	orig           Expr   // the source conjunct, for the row-level fallback
 }
 
 // operandValues resolves the spec operands against the bind
@@ -180,12 +180,17 @@ type tableScan struct {
 	batchKernels []imc.BatchKernel
 	batchLabels  []string
 	bsrc         BatchFilterSource
-	// rowIDsFn, when non-nil, resolves the restricted row-id list at
-	// Open (an index-driven scan over JSON search index postings); the
-	// postings are read per execution, so a cached plan sees rows
-	// inserted after it was planned.
-	rowIDsFn func() []int
-	env      *planEnv
+	// rowIDsFn, when non-nil, resolves the scan's candidate row ids at
+	// Open, from live index state and the execution's binds — JSON
+	// search index postings (rowIDsVia "index") or the one row a
+	// primary-key probe finds ("pk") — so a cached plan sees rows written
+	// after it was planned. ok=false declines for this execution: the
+	// scan reads every row and applies rowIDsPred, the conjunct the list
+	// would have answered.
+	rowIDsFn   func(env *planEnv) (ids []int, ok bool)
+	rowIDsVia  string
+	rowIDsPred Expr
+	env        *planEnv
 	// lo/hi restrict the scan to the row-id range [lo, hi) — the
 	// per-worker partition of a parallel scan. hi == 0 means the full
 	// table.
@@ -201,8 +206,9 @@ type tableScan struct {
 
 	rowIDs []int // resolved by Open from rowIDsFn
 	idPos  int
-	// fallbackPred collects the vecSpecs whose kernel compile declined
-	// at Open; it is evaluated per materialized row.
+	// fallbackPred collects what Open could not hand to an index or a
+	// kernel — rowIDsPred when rowIDsFn declined, the vecSpecs whose
+	// compile declined; it is evaluated per materialized row.
 	fallbackPred Expr
 	fallbackCtx  *evalCtx
 
@@ -275,10 +281,16 @@ func (s *tableScan) Open(ec *ExecCtx) error {
 		s.rng = rand.New(rand.NewSource(42))
 	}
 	s.rowIDs = nil
-	if s.rowIDsFn != nil {
-		s.rowIDs = s.rowIDsFn()
-	}
 	s.fallbackPred, s.fallbackCtx = nil, nil
+	if s.rowIDsFn != nil {
+		if ids, ok := s.rowIDsFn(s.env); !ok {
+			s.fallbackPred = s.rowIDsPred
+		} else if ids != nil {
+			s.rowIDs = ids
+		} else {
+			s.rowIDs = []int{} // no candidates, not "no restriction"
+		}
+	}
 	s.batchRun, s.runLabels = nil, nil
 	if s.bsrc != nil {
 		s.batchRun = make([]imc.BatchKernel, 0, len(s.batchKernels)+len(s.vecSpecs))
@@ -297,9 +309,9 @@ func (s *tableScan) Open(ec *ExecCtx) error {
 			}
 			s.fallbackPred = andExpr(s.fallbackPred, spec.orig)
 		}
-		if s.fallbackPred != nil {
-			s.fallbackCtx = s.env.bindCtx(s.sch, s.fallbackPred)
-		}
+	}
+	if s.fallbackPred != nil {
+		s.fallbackCtx = s.env.bindCtx(s.sch, s.fallbackPred)
 	}
 	// vector predicates are only ever planned onto full-range scans (no
 	// index postings, no sampling), so kernels always drive the iteration
@@ -539,7 +551,7 @@ func (s *tableScan) Close() error {
 func (s *tableScan) opName() string {
 	name := fmt.Sprintf("TableScan(%s", s.tab.Name)
 	if s.rowIDsFn != nil {
-		name += " via-index"
+		name += " via-" + s.rowIDsVia
 	}
 	name += s.vecSuffix()
 	if s.samplePct > 0 {
@@ -559,10 +571,14 @@ func (s *tableScan) vecSuffix() string {
 	return fmt.Sprintf(" batch vec-filters=%d", len(s.vecSpecs)+len(s.batchKernels))
 }
 
-// opExtraLines reports the batch scan's chunk accounting for EXPLAIN
-// ANALYZE: one summary line plus, in collect mode, one line per
-// vector predicate with its chunk pruning and bit selectivity.
+// opExtraLines reports, for EXPLAIN ANALYZE, a row-id access path that
+// declined at Open (the scan then read the whole table) and the batch
+// scan's chunk accounting: one summary line plus, in collect mode, one
+// line per vector predicate with its chunk pruning and bit selectivity.
 func (s *tableScan) opExtraLines() []string {
+	if s.rowIDsFn != nil && s.rowIDs == nil {
+		return []string{fmt.Sprintf("via-%s declined: scanned %d row ids", s.rowIDsVia, s.maxID)}
+	}
 	if s.statChunks == 0 {
 		return nil
 	}

@@ -51,9 +51,14 @@ import (
 // per NextBatch call.
 const batchSize = imc.ChunkSize
 
-// arenaSlabValues is the number of jsondom.Value slots carved per
-// arena slab allocation (one alloc per ~8 batches of 8-column rows).
-const arenaSlabValues = 8192
+// arenaFirstSlab and arenaSlabValues bound a rowArena's slab sizes, in
+// jsondom.Value slots: the first slab holds a few rows (512 bytes), each
+// later one doubles, and arenaSlabValues caps the growth at one batch of
+// 8-column rows per allocation.
+const (
+	arenaFirstSlab  = 32
+	arenaSlabValues = 8192
+)
 
 // Batch is a chunk of rows flowing between operators. Headers are
 // pooled: a batch returned by NextBatch is valid until the producer's
@@ -119,20 +124,31 @@ func putBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// rowArena carves per-row []jsondom.Value slices out of large slabs:
-// one slab allocation serves arenaSlabValues/width rows. Carved rows
-// use a full slice expression, so appending to one can never clobber a
-// neighbor, and slabs are ordinary GC-managed memory — rows stay valid
-// for as long as anything references them, which is what lets batch
-// consumers retain them without a copy.
+// rowArena carves per-row []jsondom.Value slices out of slabs that grow
+// with the demand: a query pays for the rows it carves, and a retained
+// row pins only the slab it was carved from — 512 bytes for a one-row
+// result. Slabs ever allocated stay within twice the values consumed
+// (carved, or left at the tail of a slab the next row did not fit) plus
+// the first slab. Carved rows use a full slice expression, so appending
+// to one can never clobber a neighbor, and slabs are ordinary GC-managed
+// memory — rows stay valid for as long as anything references them,
+// which is what lets batch consumers retain them without a copy.
 type rowArena struct {
 	slab []jsondom.Value
+	next int // size of the next slab; 0 before the first
 }
 
 // alloc carves an n-value row from the current slab.
 func (a *rowArena) alloc(n int) []jsondom.Value {
 	if n > len(a.slab) {
-		size := arenaSlabValues
+		size := a.next
+		if size == 0 {
+			size = arenaFirstSlab
+		}
+		a.next = 2 * size
+		if a.next > arenaSlabValues {
+			a.next = arenaSlabValues
+		}
 		if n > size {
 			size = n
 		}

@@ -50,11 +50,11 @@ func (e *Engine) planCacheStatus(queryText string) string {
 	if e.plans.capacity() == 0 {
 		return "disabled"
 	}
-	key, _, isSelect, err := normalizeSQL(queryText)
+	shape, lits, isSelect, err := normalizeSQL(queryText)
 	if err != nil || !isSelect {
 		return "not cacheable"
 	}
-	ent := e.plans.peek(key)
+	ent := e.plans.find(shape, lits, false)
 	switch {
 	case ent == nil:
 		return "miss"

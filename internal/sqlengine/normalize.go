@@ -1,24 +1,27 @@
 // SQL normalization for the plan cache: cursor-sharing-style literal
-// auto-parameterization. The cache key is the token stream with every
-// number, string, and bind-parameter token replaced by a kind-distinct
-// marker, so the eleven NOBENCH query shapes hit the same cached plan
-// no matter which constants each execution carries.
+// auto-parameterization. A statement's shape is its token stream with
+// every number, string, and bind-parameter token replaced by a
+// kind-distinct marker, so a NOBENCH query hits the same cached plan
+// no matter which comparison constants an execution carries.
 //
 // Not every literal token becomes a bind slot: LIMIT counts, SAMPLE
 // percentages, JSON path texts, and positional ORDER BY ordinals are
 // consumed by the parser into plain struct fields rather than Literal
-// nodes, and changing them changes the plan. Their texts are recorded
-// in the entry's fixed list and compared on every lookup; a mismatch
-// is a miss that replaces the entry.
+// nodes. They are structure — changing one changes the plan, and
+// §4.2.1's compile-time field-name hashing needs a path to be a
+// constant of the statement — so their texts stay in the cache key
+// (appendCacheKey): two statements that differ only in a path are two entries.
+// Which literal positions those are is a property of the shape, learnt
+// from the parser at the shape's first build (planCache.shapes).
 
 package sqlengine
 
 import "repro/internal/jsondom"
 
-// normalizeSQL lexes sql and returns the literal-insensitive cache
-// key, the number/string literal tokens in source order, and whether
-// the statement is a SELECT (the only cacheable kind).
-func normalizeSQL(sql string) (key string, lits []token, isSelect bool, err error) {
+// normalizeSQL lexes sql and returns its literal-insensitive shape,
+// the number/string literal tokens in source order, and whether the
+// statement is a SELECT (the only cacheable kind).
+func normalizeSQL(sql string) (shape string, lits []token, isSelect bool, err error) {
 	toks, err := lex(sql)
 	if err != nil {
 		return "", nil, false, err
@@ -50,6 +53,20 @@ func normalizeSQL(sql string) (key string, lits []token, isSelect bool, err erro
 	}
 	isSelect = len(toks) > 0 && toks[0].kind == tkIdent && toks[0].text == "select"
 	return string(b), lits, isSelect, nil
+}
+
+// appendCacheKey completes a shape into the plan-cache key of one
+// statement, appended to dst: the shape plus the text of every literal
+// the plan bakes in (litParam[i] < 0), so only bind-slot literals are
+// abstracted away.
+func appendCacheKey(dst []byte, shape string, lits []token, litParam []int) []byte {
+	dst = append(dst, shape...)
+	for i, t := range lits {
+		if i < len(litParam) && litParam[i] < 0 {
+			dst = append(append(dst, 0), t.text...)
+		}
+	}
+	return dst
 }
 
 // litValue converts a literal token to the same jsondom value the

@@ -27,16 +27,13 @@ const defaultPlanCacheSize = 128
 // binding recipe that maps an execution's literals onto the plan's
 // parameter slots.
 type planEntry struct {
-	key  string
-	plan *preparedPlan
-	gen  uint64         // engine plan generation at build time
-	opts PlannerOptions // planner-option snapshot at build time
+	shape, key string // normalizeSQL's shape; appendCacheKey's completion of it
+	plan       *preparedPlan
+	gen        uint64         // engine plan generation at build time
+	opts       PlannerOptions // planner-option snapshot at build time
 	// litParam maps the i-th number/string token to its bind slot, or
-	// -1 for tokens whose text is baked into the plan (fixed).
+	// -1 for tokens whose text is baked into the plan and into key.
 	litParam []int
-	// fixed holds, in order, the texts of the baked literal tokens; a
-	// lookup whose tokens differ here cannot reuse the plan.
-	fixed []string
 	// nUser is the user-supplied parameter count the plan was built
 	// for; nSlots is nUser plus the auto-parameterized literal count.
 	nUser, nSlots int
@@ -49,22 +46,17 @@ type planEntry struct {
 
 // bindLits assembles the execution parameter vector: the caller's
 // values in slots [0,nUser) and the lookup's literal tokens converted
-// into the slots recorded at build time. It reports false when the
-// token stream does not fit the entry (fixed-text mismatch).
+// into the slots recorded at build time. It reports false when a
+// token is not a value the parser would accept.
 func (ent *planEntry) bindLits(user []jsondom.Value, lits []token) ([]jsondom.Value, bool) {
 	if len(lits) != len(ent.litParam) {
 		return nil, false
 	}
 	exec := make([]jsondom.Value, ent.nSlots)
 	copy(exec, user)
-	fi := 0
 	for i, t := range lits {
 		slot := ent.litParam[i]
 		if slot < 0 {
-			if fi >= len(ent.fixed) || ent.fixed[fi] != t.text {
-				return nil, false
-			}
-			fi++
 			continue
 		}
 		v, err := litValue(t)
@@ -76,43 +68,52 @@ func (ent *planEntry) bindLits(user []jsondom.Value, lits []token) ([]jsondom.Va
 	return exec, true
 }
 
-// planCache is a mutex-guarded LRU of planEntry keyed by normalized
-// SQL. All methods are safe for concurrent use.
+// planCache is a mutex-guarded LRU of planEntry keyed by appendCacheKey.
+// All methods are safe for concurrent use.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
 	lru   *list.List // front = most recently used; values are *planEntry
 	byKey map[string]*list.Element
+	// shapes says, for every shape with a cached entry, which of its
+	// literal tokens are baked in — what a lookup needs to complete a
+	// shape into a key without parsing. It lives and dies with the
+	// entries: entries counts them per shape.
+	shapes map[string]*shapeInfo
+}
+
+type shapeInfo struct {
+	litParam []int
+	entries  int
 }
 
 func newPlanCache(capacity int) *planCache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
+	return &planCache{cap: capacity, lru: list.New(),
+		byKey: make(map[string]*list.Element), shapes: make(map[string]*shapeInfo)}
 }
 
-// get returns the entry for key, promoting it to most recently used.
-func (c *planCache) get(key string) *planEntry {
+// find returns the entry a statement of the given shape and literals
+// would execute through, or nil. promote makes it the most recently
+// used; EXPLAIN's cache-status probe passes false.
+func (c *planCache) find(shape string, lits []token, promote bool) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	sh, ok := c.shapes[shape]
 	if !ok {
 		return nil
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*planEntry)
-}
-
-// peek returns the entry for key without touching recency (EXPLAIN's
-// cache-status probe).
-func (c *planCache) peek(key string) *planEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		return el.Value.(*planEntry)
+	var buf [512]byte // keeps the key of an ordinary statement off the heap
+	el, ok := c.byKey[string(appendCacheKey(buf[:0], shape, lits, sh.litParam))]
+	if !ok {
+		return nil
 	}
-	return nil
+	if promote {
+		c.lru.MoveToFront(el)
+	}
+	return el.Value.(*planEntry)
 }
 
 // put inserts or replaces the entry for ent.key, evicting from the
@@ -129,29 +130,36 @@ func (c *planCache) put(ent *planEntry) {
 		return
 	}
 	c.byKey[ent.key] = c.lru.PushFront(ent)
+	sh := c.shapes[ent.shape]
+	if sh == nil {
+		sh = &shapeInfo{litParam: ent.litParam}
+		c.shapes[ent.shape] = sh
+	}
+	sh.entries++
 	for c.lru.Len() > c.cap {
-		c.evictBackLocked()
+		c.dropLocked(c.lru.Back())
+		mPlanCacheEvictions.Inc()
 	}
 }
 
-// remove drops the entry for key if present.
-func (c *planCache) remove(key string) {
+// remove drops ent if it is still the cached entry for its key.
+func (c *planCache) remove(ent *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		delete(c.byKey, key)
-		c.lru.Remove(el)
+	if el, ok := c.byKey[ent.key]; ok && el.Value == ent {
+		c.dropLocked(el)
 	}
 }
 
-func (c *planCache) evictBackLocked() {
-	el := c.lru.Back()
-	if el == nil {
-		return
-	}
-	delete(c.byKey, el.Value.(*planEntry).key)
+func (c *planCache) dropLocked(el *list.Element) {
+	ent := el.Value.(*planEntry)
+	delete(c.byKey, ent.key)
 	c.lru.Remove(el)
-	mPlanCacheEvictions.Inc()
+	if sh := c.shapes[ent.shape]; sh != nil {
+		if sh.entries--; sh.entries == 0 {
+			delete(c.shapes, ent.shape)
+		}
+	}
 }
 
 // setCapacity resizes the cache, evicting cold entries as needed;
@@ -164,7 +172,8 @@ func (c *planCache) setCapacity(n int) {
 	}
 	c.cap = n
 	for c.lru.Len() > c.cap {
-		c.evictBackLocked()
+		c.dropLocked(c.lru.Back())
+		mPlanCacheEvictions.Inc()
 	}
 }
 
@@ -210,11 +219,11 @@ func (e *Engine) plannerSnapshot() PlannerOptions {
 
 // buildEntry compiles sel (which buildEntry rewrites in place) into a
 // cache entry: parameterizable literals become bind slots numbered
-// after the user parameters, in source-token order; the rest have
-// their texts recorded as fixed.
-func (e *Engine) buildEntry(key string, sel *SelectStmt, lits []token, nUser int, gen uint64, opts PlannerOptions) (*planEntry, error) {
+// after the user parameters, in source-token order; the rest keep
+// their texts, in the plan and in the entry's key.
+func (e *Engine) buildEntry(shape string, sel *SelectStmt, lits []token, nUser int, gen uint64, opts PlannerOptions) (*planEntry, error) {
 	byOff := collectParamLiterals(sel)
-	ent := &planEntry{key: key, gen: gen, opts: opts, nUser: nUser}
+	ent := &planEntry{shape: shape, gen: gen, opts: opts, nUser: nUser}
 	slot := nUser
 	assign := make(map[int]int, len(byOff))
 	for _, t := range lits {
@@ -224,9 +233,9 @@ func (e *Engine) buildEntry(key string, sel *SelectStmt, lits []token, nUser int
 			slot++
 		} else {
 			ent.litParam = append(ent.litParam, -1)
-			ent.fixed = append(ent.fixed, t.text)
 		}
 	}
+	ent.key = string(appendCacheKey(nil, shape, lits, ent.litParam))
 	ent.nSlots = slot
 	if len(assign) > 0 {
 		rewriteSelect(sel, true, func(x Expr) Expr {
@@ -255,21 +264,21 @@ func (e *Engine) execCached(ctx context.Context, sql string, params []jsondom.Va
 	if e.plans.capacity() == 0 {
 		return nil, false, nil
 	}
-	key, lits, isSelect, nerr := normalizeSQL(sql)
+	shape, lits, isSelect, nerr := normalizeSQL(sql)
 	if nerr != nil || !isSelect {
 		return nil, false, nil
 	}
 	gen := e.planGen.Load()
 	opts := e.plannerSnapshot()
-	if ent := e.plans.get(key); ent != nil {
+	if ent := e.plans.find(shape, lits, true); ent != nil {
 		if ent.gen != gen || ent.opts != opts {
-			e.plans.remove(key)
+			e.plans.remove(ent)
 		} else if ent.statsFP != planStatsFP(ent.plan.root) {
 			// statistics drift: the plan's cost decisions were made
 			// against table sizes that have since crossed a
 			// power-of-two bucket — re-plan with fresh estimates
 			mCostStatsDrift.Inc()
-			e.plans.remove(key)
+			e.plans.remove(ent)
 		} else if ent.nUser != len(params) {
 			// parameter-count drift: let the uncached path produce the
 			// engine's usual missing/extra-parameter semantics
@@ -300,7 +309,7 @@ func (e *Engine) execCached(ctx context.Context, sql string, params []jsondom.Va
 		res, err := e.execStmt(ctx, sql, parseD, stmt, params)
 		return res, true, err
 	}
-	ent, berr := e.buildEntry(key, sel, lits, len(params), gen, opts)
+	ent, berr := e.buildEntry(shape, sel, lits, len(params), gen, opts)
 	if berr != nil {
 		// planning failed; re-parse so the ordinary path reports the
 		// error with its usual metrics accounting

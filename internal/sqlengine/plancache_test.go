@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/jsondom"
+	"repro/internal/jsontext"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func TestNormalizeSQL(t *testing.T) {
@@ -416,5 +418,125 @@ func TestExplainPlanCacheStatus(t *testing.T) {
 	e.SetPlanCacheSize(0)
 	if got := status(q); got != "disabled" {
 		t.Fatalf("disabled status = %q, want disabled", got)
+	}
+}
+
+// hardParsesOf runs fn and returns how many hard parses it cost.
+func hardParsesOf(fn func()) int64 {
+	before := mHardParse.Value()
+	fn()
+	return mHardParse.Value() - before
+}
+
+// TestPlanCacheKeyKeepsStructure pins what the cache key abstracts: a
+// JSON path, a LIMIT count and a JSON_TABLE column path are structure,
+// so statements that differ there own an entry each and alternating
+// between them compiles each once; a comparison literal is a bind, so
+// statements that differ there share an entry. Before every execution
+// EXPLAIN's cache-status probe must predict what Query then does.
+func TestPlanCacheKeyKeepsStructure(t *testing.T) {
+	e := newCorpusEngine(t, "text")
+	e.Planner.DisableParallelScan = true
+	run := func(q string) int64 {
+		t.Helper()
+		plan := explainPlan(t, e, "explain "+q)
+		hit := strings.Contains(plan, "plan cache: hit")
+		if !hit && !strings.Contains(plan, "plan cache: miss") {
+			t.Fatalf("%s: no cache status in\n%s", q, plan)
+		}
+		hard := hardParsesOf(func() { mustExec(t, e, q) })
+		if hit != (hard == 0) {
+			t.Fatalf("%s: EXPLAIN said hit=%v, Query hard-parsed %d times", q, hit, hard)
+		}
+		return hard
+	}
+	for _, pair := range []struct {
+		what    string
+		a, b    string
+		entries int
+	}{
+		{"a JSON_VALUE path",
+			`select json_value(jdoc, '$.s') from d where did < 3`,
+			`select json_value(jdoc, '$.g') from d where did < 3`, 2},
+		{"a JSON_EXISTS path",
+			`select count(*) from d where json_exists(jdoc, '$.n')`,
+			`select count(*) from d where json_exists(jdoc, '$.addr.zip')`, 2},
+		{"a LIMIT count",
+			`select did from d order by did limit 2`,
+			`select did from d order by did limit 3`, 2},
+		{"an ORDER BY ordinal",
+			`select did, vs from d where did < 30 order by 1`,
+			`select did, vs from d where did < 30 order by 2`, 2},
+		{"a JSON_TABLE column path",
+			`select jt.x from d a, json_table(jdoc, '$.items[*]' columns (x varchar2(8) path '$.part')) jt where a.did < 3`,
+			`select jt.x from d a, json_table(jdoc, '$.items[*]' columns (x varchar2(8) path '$.q')) jt where a.did < 3`, 2},
+		{"a JSON_TABLE row path",
+			`select count(*) from d a, json_table(jdoc, '$.items[*]' columns (x number path '$.q')) jt`,
+			`select count(*) from d a, json_table(jdoc, '$.addr' columns (x number path '$.q')) jt`, 2},
+		{"a comparison literal",
+			`select did from d where vs = 's05' and did < 100`,
+			`select did from d where vs = 's06' and did < 200`, 1},
+	} {
+		before := e.PlanCacheLen()
+		ra, rb := fmt.Sprint(mustExec(t, e, pair.a).Rows), fmt.Sprint(mustExec(t, e, pair.b).Rows)
+		if ra == rb {
+			t.Fatalf("statements differing in %s return the same rows %s", pair.what, clip(ra))
+		}
+		if got := e.PlanCacheLen() - before; got != pair.entries {
+			t.Errorf("statements differing in %s occupy %d entries, want %d", pair.what, got, pair.entries)
+		}
+		for i := 0; i < 3; i++ {
+			if hard := run(pair.a) + run(pair.b); hard != 0 {
+				t.Errorf("alternating statements differing in %s hard-parsed %d times", pair.what, hard)
+			}
+		}
+		if got := fmt.Sprint(mustExec(t, e, pair.a).Rows); got != ra {
+			t.Errorf("%s: rows changed between executions:\n  %s\n  %s", pair.a, clip(ra), clip(got))
+		}
+	}
+}
+
+// TestPlanCacheNoBenchRoundRobin: the eleven NOBENCH statements, six of
+// which differ from another only in their paths, compile once each and
+// then stay cached (they used to evict one another on every pass); and
+// the benchmark's 512 ad-hoc point shapes, distinct by alias, are 512
+// keys whose shape records go when their entries do.
+func TestPlanCacheNoBenchRoundRobin(t *testing.T) {
+	const docs = 60
+	e := New()
+	mustExec(t, e, `create table nobench (did number, jdoc varchar2(0) check (jdoc is json))`)
+	for i := 0; i < docs; i++ {
+		doc := jsontext.SerializeString(workload.GenNoBench(42, i))
+		mustExec(t, e, `insert into nobench values (?, ?)`, jsondom.NumberFromInt(int64(i)), jsondom.String(doc))
+	}
+	queries := workload.NoBenchQueries("nobench", "jdoc", docs)
+	hard := hardParsesOf(func() {
+		for pass := 0; pass < 3; pass++ {
+			for _, q := range queries {
+				mustExec(t, e, q)
+			}
+		}
+	})
+	if hard != int64(len(queries)) || e.PlanCacheLen() != len(queries) {
+		t.Fatalf("three passes over %d statements: %d hard parses, %d cached plans; want %d and %d",
+			len(queries), hard, e.PlanCacheLen(), len(queries), len(queries))
+	}
+
+	adhoc := func(s int) string {
+		return fmt.Sprintf(`select json_value(jdoc, '$.sparse_%03d') as s%03d from nobench where json_value(jdoc, '$.str1') = 'GBRDC%07d'`, s, s, s%docs)
+	}
+	e.SetPlanCacheSize(512)
+	for s := 0; s < 512; s++ {
+		mustExec(t, e, adhoc(s))
+	}
+	if n := e.PlanCacheLen(); n != 512 {
+		t.Fatalf("512 ad-hoc shapes occupy %d keys", n)
+	}
+	e.SetPlanCacheSize(defaultPlanCacheSize)
+	if n, shapes := e.PlanCacheLen(), len(e.plans.shapes); n != defaultPlanCacheSize || shapes != n {
+		t.Fatalf("after shrinking: %d entries, %d shape records, want %d of each", n, shapes, defaultPlanCacheSize)
+	}
+	if hard := hardParsesOf(func() { mustExec(t, e, adhoc(511)) }); hard != 0 {
+		t.Fatalf("the most recent shape was evicted (%d hard parses)", hard)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/jsondom"
@@ -99,8 +100,12 @@ type Table struct {
 	numStored int
 	rows      []Row
 
-	pkCol     int // -1 when no primary key
-	pkIndex   map[string]int
+	pkCol   int // -1 when no primary key
+	pkIndex map[string]int
+	// pkLoose is set, and never cleared, once a key outside the class
+	// sqlExactKey accepts has been indexed: from then on two keys SQL
+	// calls equal may sit under different index entries (ProbePK).
+	pkLoose   bool
 	observers []InsertObserver
 
 	// tombstones marks deleted rows (row ids stay stable); live counts
@@ -170,14 +175,16 @@ func (t *Table) SetPrimaryKey(col string) error {
 		return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.Name, col)
 	}
 	idx := make(map[string]int, len(t.rows))
+	loose := false
 	for rid, row := range t.rows {
 		k := keyString(row[i])
 		if _, dup := idx[k]; dup {
 			return fmt.Errorf("%w: %s on existing rows", ErrDuplicate, col)
 		}
 		idx[k] = rid
+		loose = loose || looseKey(t.columns[i].Type, row[i])
 	}
-	t.pkCol, t.pkIndex = i, idx
+	t.pkCol, t.pkIndex, t.pkLoose = i, idx, loose
 	return nil
 }
 
@@ -251,6 +258,7 @@ func (t *Table) Insert(row Row) (int, error) {
 				t.columns[t.pkCol].Name, k, t.Name)
 		}
 		t.pkIndex[k] = len(t.rows)
+		t.pkLoose = t.pkLoose || looseKey(t.columns[t.pkCol].Type, row[t.pkCol])
 	}
 	rid := len(t.rows)
 	t.rows = append(t.rows, row)
@@ -432,6 +440,7 @@ func (t *Table) Update(rowID int, row Row) error {
 			}
 			delete(t.pkIndex, oldKey)
 			t.pkIndex[newKey] = rowID
+			t.pkLoose = t.pkLoose || looseKey(t.columns[t.pkCol].Type, row[t.pkCol])
 		}
 	}
 	t.rows[rowID] = row
@@ -448,6 +457,67 @@ func (t *Table) LookupPK(v jsondom.Value) (int, bool) {
 	}
 	rid, ok := t.pkIndex[keyString(v)]
 	return rid, ok
+}
+
+// PrimaryKey returns the name of the primary-key column; ok is false
+// when the table has none.
+func (t *Table) PrimaryKey() (name string, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.pkCol < 0 {
+		return "", false
+	}
+	return t.columns[t.pkCol].Name, true
+}
+
+// ProbePK answers the SQL predicate `pk = v` from the key index: found
+// and rowID name the one visible row whose key equals v. exact is false
+// when the index cannot stand in for the comparison and the caller must
+// evaluate it row by row — the table has no primary key, or v or some
+// key ever indexed lies outside the class sqlExactKey describes.
+func (t *Table) ProbePK(v jsondom.Value) (rowID int, found, exact bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.pkCol < 0 || t.pkLoose || !sqlExactKey(t.columns[t.pkCol].Type, v) {
+		return 0, false, false
+	}
+	rowID, found = t.pkIndex[keyString(v)]
+	return rowID, found, true
+}
+
+// sqlExactKey reports whether v belongs to the key values on which the
+// index's equality (equal serialisations) and SQL's coincide: strings
+// in a VARCHAR2 column, and canonical integers of at most 15 digits in
+// a NUMBER column — SQL `=` compares numbers as float64, which tells any
+// two of those apart but calls 5 and 5.0000000000000000001 equal, as it
+// does a number and a numeric string.
+func sqlExactKey(typ ColumnType, v jsondom.Value) bool {
+	switch k := v.(type) {
+	case jsondom.String:
+		return typ == TypeVarchar
+	case jsondom.Number:
+		if typ != TypeNumber {
+			return false
+		}
+		digits := strings.TrimPrefix(string(k), "-")
+		if len(digits) == 0 || len(digits) > 15 || (digits[0] == '0' && string(k) != "0") {
+			return false
+		}
+		for i := 0; i < len(digits); i++ {
+			if digits[i] < '0' || digits[i] > '9' {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// looseKey reports whether indexing v makes the key index inexact for
+// SQL equality. A NULL key is harmless: no `=` is ever true of it, and
+// no exact probe value serialises as it does.
+func looseKey(typ ColumnType, v jsondom.Value) bool {
+	return v.Kind() != jsondom.KindNull && !sqlExactKey(typ, v)
 }
 
 // valueParts resolves the column and row behind Value under the read

@@ -117,6 +117,79 @@ func TestPrimaryKey(t *testing.T) {
 	}
 }
 
+// TestProbePK: the probe answers only where equal serialisations and
+// SQL equality coincide — for the value asked about and for every key
+// ever indexed.
+func TestProbePK(t *testing.T) {
+	tab := poTable(t)
+	if _, ok := tab.PrimaryKey(); ok {
+		t.Fatal("a table without a key names one")
+	}
+	if _, _, exact := tab.ProbePK(jsondom.Number("1")); exact {
+		t.Fatal("a table without a key answers a probe")
+	}
+	if err := tab.SetPrimaryKey("did"); err != nil {
+		t.Fatal(err)
+	}
+	if name, ok := tab.PrimaryKey(); !ok || name != "did" {
+		t.Fatalf("PrimaryKey = %q, %v", name, ok)
+	}
+	for _, k := range []string{"0", "7", "-12", "123456789012345"} {
+		if _, err := tab.Insert(Row{jsondom.Number(k), jsondom.String("{}")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tab.Insert(Row{jsondom.Null{}, jsondom.String("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	if rid, found, exact := tab.ProbePK(jsondom.Number("-12")); !exact || !found || rid != 2 {
+		t.Fatalf("ProbePK(-12) = %d, %v, %v", rid, found, exact)
+	}
+	if _, found, exact := tab.ProbePK(jsondom.Number("8")); !exact || found {
+		t.Fatalf("ProbePK(8) = found %v, exact %v", found, exact)
+	}
+	for _, v := range []jsondom.Value{
+		jsondom.Number("7.0"), jsondom.Number("07"), jsondom.Number("-0"), jsondom.Number("7e0"),
+		jsondom.Number("1234567890123456"), jsondom.Number(""), jsondom.Number("-"),
+		jsondom.String("7"), jsondom.Double(7), jsondom.Null{}, jsondom.Bool(true),
+	} {
+		if _, _, exact := tab.ProbePK(v); exact {
+			t.Errorf("ProbePK(%#v) claims to be exact", v)
+		}
+	}
+	// one key float64 cannot tell from 7 turns the index off for good
+	wide := jsondom.Number("7.00000000000000000001")
+	rid, err := tab.Insert(Row{wide, jsondom.String("{}")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, exact := tab.ProbePK(jsondom.Number("7")); exact {
+		t.Fatal("the probe answers for 7 beside a key that equals it as a float64")
+	}
+	tab.Delete(rid)
+	if _, _, exact := tab.ProbePK(jsondom.Number("7")); exact {
+		t.Fatal("the index turned exact again")
+	}
+	// Update and SetPrimaryKey see loose keys too
+	t2 := poTable(t)
+	if err := t2.SetPrimaryKey("did"); err != nil {
+		t.Fatal(err)
+	}
+	t2.Insert(Row{jsondom.Number("1"), jsondom.String("{}")}) //nolint:errcheck
+	if err := t2.Update(0, Row{jsondom.Number("1.5"), jsondom.String("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, exact := t2.ProbePK(jsondom.Number("1")); exact {
+		t.Fatal("a key updated to 1.5 left the index exact")
+	}
+	if err := t2.SetPrimaryKey("did"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, exact := t2.ProbePK(jsondom.Number("1")); exact {
+		t.Fatal("rebuilding the index over 1.5 made it exact")
+	}
+}
+
 func TestVirtualColumn(t *testing.T) {
 	tab := poTable(t)
 	err := tab.AddVirtualColumn(Column{
