@@ -3,8 +3,9 @@
 # included), the godoc lint, and the engine line-count ratchet.
 # `make race` runs the race detector over the whole tree plus the
 # concurrent engine packages (imc, pathengine, sqlengine parallel
-# scans and concurrent joins); CI runs it as its own job so analyzer findings and data
-# races fail independently.
+# scans and concurrent joins, the in-memory store maintained under
+# concurrent writes); CI runs it as its own job so analyzer findings and
+# data races fail independently.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -19,16 +20,18 @@ build:
 # The second step reruns sqlengine at three core counts: the planner's
 # parallel-scan degree follows GOMAXPROCS, so plans (and every test
 # that asserts on EXPLAIN text) differ between a 1-core and an N-core
-# machine.
+# machine; imc and core ride along for the store's maintenance under
+# DML, whose tests read EXPLAIN too.
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/sqlengine
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/sqlengine ./internal/imc ./internal/core
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/imc
 	$(GO) test -race -count=1 ./internal/pathengine
 	$(GO) test -race -count=1 -run 'TestParallelScan|TestBreakersOverParallelScan|TestConcurrentJoinsShareNoBatch' ./internal/sqlengine
+	$(GO) test -race -count=1 -run 'TestStoreMaintenanceConcurrent' ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -80,7 +83,12 @@ bench-module:
 # plan cache's per-shape record of which literals are structure (+26,
 # after giving back bindLits' fixed-text compare and one of get / peek)
 # and the arena's growth policy (+16) are new mechanism: 10,287 lines.
-LOC_MAX := 10310
+# ISSUE 20 lowered it again: the scan binds an image of the store at
+# Open and EXPLAIN reports the store's state (+45), paid for by the
+# plan-time kernel arm, the DML detach sites, the row-id bypass and the
+# ColumnStatsSource interface: 10,282 lines. The store's maintenance
+# itself lives in internal/imc.
+LOC_MAX := 10300
 loc:
 	@n=$$(ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "sqlengine non-test lines: $$n (ratchet $(LOC_MAX))"; \

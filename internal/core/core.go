@@ -15,7 +15,8 @@
 //     works against the JSON data;
 //   - PopulateInMemory() loads the collection into the dual-format
 //     in-memory store (OSON documents and/or columnar virtual
-//     columns, §5.2) to accelerate SQL/JSON queries transparently.
+//     columns, §5.2) to accelerate SQL/JSON queries transparently; the
+//     store stays consistent with the collection under every write.
 package core
 
 import (
@@ -161,7 +162,6 @@ func (c *Collection) Delete(id int64) error {
 		return fmt.Errorf("core: no document %d in %s", id, c.name)
 	}
 	c.tab.Delete(rid)
-	c.db.eng.DetachIMC(c.name)
 	return nil
 }
 
@@ -172,15 +172,10 @@ func (c *Collection) Replace(id int64, doc jsondom.Value) error {
 	if !ok {
 		return fmt.Errorf("core: no document %d in %s", id, c.name)
 	}
-	err := c.tab.Update(rid, store.Row{
+	return c.tab.Update(rid, store.Row{
 		jsondom.NumberFromInt(id),
 		jsondom.String(jsontext.SerializeString(doc)),
 	})
-	if err != nil {
-		return err
-	}
-	c.db.eng.DetachIMC(c.name)
-	return nil
 }
 
 // DataGuide computes the collection's DataGuide. With a search index
@@ -302,8 +297,10 @@ func (c *Collection) PopulateInMemorySetEncoded(vcNames ...string) error {
 	return nil
 }
 
-// EvictInMemory detaches the in-memory store; queries fall back to the
-// on-disk text format.
+// EvictInMemory detaches the in-memory store and ends its subscription
+// to the collection's writes; queries fall back to the on-disk text
+// format. (No write detaches it: Put, Replace, Delete and SQL DML keep
+// it attached and consistent.)
 func (c *Collection) EvictInMemory() {
 	c.db.eng.DetachIMC(c.name)
 	c.mem = nil

@@ -23,6 +23,10 @@ var immutProtected = map[string]string{
 	"pathengine.Compiled":    "pathengine.go",
 	"sqlengine.preparedPlan": "plan.go",
 	"imc.BatchKernel":        "vector.go",
+	// Every state of an in-memory store is an Image that scans read
+	// without a lock while DML publishes the next one: image.go builds
+	// each (population, a written row, a fold) before it is published.
+	"imc.Image": "image.go",
 	// Batch headers are pooled and handed across operators (and, in
 	// parallel plans, across goroutines): confining every rows-slice
 	// mutation to the batch spine file is what makes the recycling

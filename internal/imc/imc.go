@@ -12,12 +12,16 @@
 //     instead of re-evaluating the path per row.
 //
 // A populated Store implements sqlengine.InMemorySource and is
-// attached with Engine.AttachIMC.
+// attached with Engine.AttachIMC. An attached store subscribes to its
+// table's writes and stays consistent with the row store while DML
+// runs (image.go): every state it has been in is an immutable Image,
+// and a scan reads the one that was current when it opened.
 package imc
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
@@ -27,66 +31,35 @@ import (
 
 // Store is the in-memory representation of one table.
 type Store struct {
-	mu  sync.RWMutex
+	// mu serializes the publishers of img: populations, the maintenance
+	// of written rows, folds. It is taken under the table's lock (read
+	// for a population, write for a written row), never the other way
+	// round. Readers load img without it.
+	mu  sync.Mutex
 	tab *store.Table
-
-	osonCol  string
-	osonDocs []jsondom.Value // Binary OSON per row; Null where source was NULL
-	// sharedDict is set when the OSON column was populated with the set
-	// encoding of §7 (one merged dictionary for the whole store).
-	sharedDict *oson.SharedDict
-
-	vectors map[string]*Vector
+	img atomic.Pointer[Image]
+	// subscribed is set while the store receives the table's writes.
+	subscribed bool
 }
 
 // NewStore creates an empty in-memory store for a table.
 func NewStore(tab *store.Table) *Store {
-	return &Store{tab: tab, vectors: make(map[string]*Vector)}
+	s := &Store{tab: tab}
+	s.img.Store(&Image{})
+	return s
 }
+
+// Image returns the store's current state. Every Image is immutable, so
+// a scan that reads one image from Open to Close sees one consistent
+// table, whatever is written meanwhile.
+func (s *Store) Image() *Image { return s.img.Load() }
 
 // PopulateOSON encodes the named JSON text column of every row into
 // OSON (§5.2.2's implicit OSON() constructor invocation during
 // population). Rows whose column is NULL or not a string are left
 // unsubstituted.
 func (s *Store) PopulateOSON(jsonCol string) error {
-	pos, ok := s.tab.ColumnPos(jsonCol)
-	if !ok {
-		return fmt.Errorf("imc: no column %q in table %q", jsonCol, s.tab.Name)
-	}
-	docs := make([]jsondom.Value, 0, s.tab.NumRows())
-	var encErr error
-	s.tab.Scan(func(rid int, row store.Row) bool {
-		v := row[pos]
-		str, ok := v.(jsondom.String)
-		if !ok {
-			docs = append(docs, jsondom.Null{})
-			return true
-		}
-		b, err := oson.FromJSONText([]byte(str))
-		if err != nil {
-			encErr = fmt.Errorf("imc: row %d: %w", rid, err)
-			return false
-		}
-		docs = append(docs, jsondom.Binary(b))
-		return true
-	})
-	if encErr != nil {
-		return encErr
-	}
-	var bytes int64
-	for _, d := range docs {
-		if b, ok := d.(jsondom.Binary); ok {
-			bytes += int64(len(b))
-		}
-	}
-	mPopulations.Inc()
-	mPopRows.Add(int64(len(docs)))
-	mPopBytes.Add(bytes)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.osonCol = jsonCol
-	s.osonDocs = docs
-	return nil
+	return s.populateOSON(jsonCol, nil)
 }
 
 // PopulateOSONShared is PopulateOSON using the OSON set encoding of
@@ -94,55 +67,81 @@ func (s *Store) PopulateOSON(jsonCol string) error {
 // the per-document dictionary segments from memory and making field-id
 // resolution a one-time, store-wide operation.
 func (s *Store) PopulateOSONShared(jsonCol string) error {
+	return s.populateOSON(jsonCol, oson.NewSharedDict())
+}
+
+// encodeDoc renders one stored value of the document column as its
+// in-memory image, against dict when the store uses the set encoding;
+// nil for a value that is not JSON text (the scan then serves the
+// stored value itself).
+func encodeDoc(v jsondom.Value, dict *oson.SharedDict) (jsondom.Value, error) {
+	str, ok := v.(jsondom.String)
+	if !ok {
+		return nil, nil
+	}
+	if dict == nil {
+		b, err := oson.FromJSONText([]byte(str))
+		if err != nil {
+			return nil, err
+		}
+		return jsondom.Binary(b), nil
+	}
+	dom, err := jsontext.Parse([]byte(str))
+	if err != nil {
+		return nil, err
+	}
+	b, err := oson.EncodeShared(dom, dict)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := oson.ParseShared(b, dict)
+	if err != nil {
+		return nil, err
+	}
+	return oson.SharedValue{Doc: doc}, nil
+}
+
+// docBytes is the accounted size of one in-memory document.
+func docBytes(d jsondom.Value) int {
+	switch t := d.(type) {
+	case jsondom.Binary:
+		return len(t)
+	case oson.SharedValue:
+		return len(t.Doc.Bytes())
+	}
+	return 0
+}
+
+func (s *Store) populateOSON(jsonCol string, dict *oson.SharedDict) error {
 	pos, ok := s.tab.ColumnPos(jsonCol)
 	if !ok {
 		return fmt.Errorf("imc: no column %q in table %q", jsonCol, s.tab.Name)
 	}
-	dict := oson.NewSharedDict()
-	docs := make([]jsondom.Value, 0, s.tab.NumRows())
-	var encErr error
-	s.tab.Scan(func(rid int, row store.Row) bool {
-		str, ok := row[pos].(jsondom.String)
-		if !ok {
-			docs = append(docs, jsondom.Null{})
-			return true
+	return s.populate(func(next *Image, rows []store.Row, tombs []bool) error {
+		docs := make([]jsondom.Value, len(rows))
+		var bytes int64
+		for rid, row := range rows {
+			docs[rid] = jsondom.Null{}
+			if rid < len(tombs) && tombs[rid] {
+				continue // a deleted row keeps its slot: scans index by row id
+			}
+			d, err := encodeDoc(row[pos], dict)
+			if err != nil {
+				return fmt.Errorf("imc: row %d: %w", rid, err)
+			}
+			if d != nil {
+				docs[rid] = d
+				bytes += int64(docBytes(d))
+			}
 		}
-		dom, err := jsontext.Parse([]byte(str))
-		if err != nil {
-			encErr = fmt.Errorf("imc: row %d: %w", rid, err)
-			return false
+		if dict != nil {
+			bytes += int64(dict.MemoryBytes())
 		}
-		b, err := oson.EncodeShared(dom, dict)
-		if err != nil {
-			encErr = fmt.Errorf("imc: row %d: %w", rid, err)
-			return false
-		}
-		doc, err := oson.ParseShared(b, dict)
-		if err != nil {
-			encErr = fmt.Errorf("imc: row %d: %w", rid, err)
-			return false
-		}
-		docs = append(docs, oson.SharedValue{Doc: doc})
-		return true
+		mPopRows.Add(int64(len(docs)))
+		mPopBytes.Add(bytes)
+		next.setDocs(jsonCol, pos, docs, dict)
+		return nil
 	})
-	if encErr != nil {
-		return encErr
-	}
-	var bytes int64
-	for _, d := range docs {
-		if sv, ok := d.(oson.SharedValue); ok {
-			bytes += int64(len(sv.Doc.Bytes()))
-		}
-	}
-	mPopulations.Inc()
-	mPopRows.Add(int64(len(docs)))
-	mPopBytes.Add(bytes + int64(dict.MemoryBytes()))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.osonCol = jsonCol
-	s.osonDocs = docs
-	s.sharedDict = dict
-	return nil
 }
 
 // PopulateVC evaluates the named virtual column for every row into a
@@ -154,76 +153,173 @@ func (s *Store) PopulateVC(vcName string) error {
 	if !ok || !col.Virtual || col.Expr == nil {
 		return fmt.Errorf("imc: %q is not a virtual column of %q", vcName, s.tab.Name)
 	}
-	b := newVectorBuilder(s.tab.NumRows())
-	var evalErr error
-	s.tab.Scan(func(rid int, row store.Row) bool {
-		v, err := col.Expr(row)
-		if err != nil {
-			evalErr = fmt.Errorf("imc: row %d: %w", rid, err)
-			return false
+	return s.populate(func(next *Image, rows []store.Row, tombs []bool) error {
+		b := newVectorBuilder(len(rows))
+		for rid, row := range rows {
+			if rid < len(tombs) && tombs[rid] {
+				b.addVal(colVal{})
+				continue
+			}
+			v, err := col.Expr(row)
+			if err != nil {
+				return fmt.Errorf("imc: row %d: %w", rid, err)
+			}
+			b.addVal(valOf(v))
 		}
-		b.add(v)
-		return true
+		vec := b.build()
+		mPopRows.Add(int64(vec.Len()))
+		mPopBytes.Add(int64(vec.MemoryBytes()))
+		next.setVector(vcol{name: vcName, expr: col.Expr, vec: vec})
+		return nil
 	})
-	if evalErr != nil {
-		return evalErr
+}
+
+// populate runs one population under the table's read lock — no write
+// commits while build reads the rows — and publishes the image build
+// filled in. Rows written since the last fold are folded in first, so
+// every part of the published image covers the same row ids and none
+// is pending. A store that is not subscribed cannot know what was
+// written between two of its populations; it records that they saw
+// different tables (skewed), and Subscribe refuses such a store.
+func (s *Store) populate(build func(next *Image, rows []store.Row, tombs []bool) error) error {
+	var err error
+	s.tab.View(func(rows []store.Row, tombs []bool, writes uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		cur := s.img.Load()
+		next := cur.folded()
+		if err = build(next, rows, tombs); err != nil {
+			return
+		}
+		next.populatedAt(len(rows), writes, cur.skewed || (cur.populated() && cur.writes != writes))
+		mPopulations.Inc()
+		s.publish(cur, next)
+	})
+	return err
+}
+
+// publish makes next the store's image and moves the gauges by the
+// difference to cur, the image it replaces. The caller holds s.mu.
+func (s *Store) publish(cur, next *Image) {
+	for i := 0; i < max(len(cur.vcs), len(next.vcs)); i++ {
+		var old, built *Vector
+		if i < len(cur.vcs) {
+			old = cur.vcs[i].vec
+		}
+		if i < len(next.vcs) {
+			built = next.vcs[i].vec
+		}
+		if old == built {
+			continue // a written row leaves the vectors alone
+		}
+		if old != nil {
+			gBytesDict.Add(-int64(old.DictBytes()))
+			gBytesCodes.Add(-int64(old.CodesBytes()))
+		}
+		if built != nil {
+			gBytesDict.Add(int64(built.DictBytes()))
+			gBytesCodes.Add(int64(built.CodesBytes()))
+		}
 	}
-	vec := b.build()
-	mPopulations.Inc()
-	mPopRows.Add(int64(vec.Len()))
-	mPopBytes.Add(int64(vec.MemoryBytes()))
+	if s.subscribed {
+		gDeltaRows.Add(int64(next.delta.count() - cur.delta.count()))
+	}
+	s.img.Store(next)
+}
+
+// Subscribe starts the maintenance of the store under DML: from here
+// on the table tells it of every committed write (RowWritten). The
+// engine subscribes a store when it is attached. A store whose image
+// does not describe the table as it is now — rows were written since
+// it was populated, or between two of its populations — cannot be
+// brought up to date from the writes to come: it is marked broken, with
+// the reason, and scans read the table itself until it is populated
+// again.
+func (s *Store) Subscribe() {
+	if prev, ok := s.tab.Subscribe(s).(*Store); ok && prev != s {
+		prev.unsubscribed("another store was attached to the table")
+	}
+	s.tab.View(func(_ []store.Row, _ []bool, writes uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		cur := s.img.Load()
+		if !s.subscribed {
+			s.subscribed = true
+			gDeltaRows.Add(int64(cur.delta.count()))
+		}
+		if cur.populated() && cur.broken == "" && (cur.skewed || cur.writes != writes) {
+			s.publish(cur, brokenImage(fmt.Sprintf("populated at write %d of the table, attached at write %d", cur.writes, writes)))
+		}
+	})
+}
+
+// Unsubscribe ends the maintenance: the engine calls it when the store
+// is detached. The image stays readable as it is.
+func (s *Store) Unsubscribe() {
+	s.tab.Unsubscribe(s)
+	s.unsubscribed("")
+}
+
+// unsubscribed records that the table no longer tells the store of its
+// writes; a non-empty reason also marks the image broken (the store is
+// still attached somewhere and must stop answering).
+func (s *Store) unsubscribed(reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.vectors[vcName]
-	s.vectors[vcName] = vec
-	if old != nil {
-		gBytesDict.Add(-int64(old.DictBytes()))
-		gBytesCodes.Add(-int64(old.CodesBytes()))
+	cur := s.img.Load()
+	if s.subscribed {
+		s.subscribed = false
+		gDeltaRows.Add(-int64(cur.delta.count()))
 	}
-	gBytesDict.Add(int64(vec.DictBytes()))
-	gBytesCodes.Add(int64(vec.CodesBytes()))
-	return nil
+	if reason != "" {
+		s.publish(cur, brokenImage(reason))
+	}
 }
 
-// vector returns the populated vector for a column under the read
-// lock; compilation of kernels and filters happens outside it.
-func (s *Store) vector(col string) (*Vector, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vec, ok := s.vectors[col]
-	return vec, ok
+// RowWritten implements store.WriteObserver: it computes the in-memory
+// image of the one written row — its OSON encoding and each populated
+// virtual column's value, as population computes them per row — and
+// publishes an image that serves it in place of what the vectors hold
+// for the row id. Past foldThreshold pending rows the new image is a
+// folded one. It runs under the table's write lock, so images follow
+// each other in commit order.
+func (s *Store) RowWritten(rowID int, row store.Row, writes uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.img.Load()
+	if !cur.populated() || cur.broken != "" {
+		return
+	}
+	if cur.skewed || cur.writes+1 != writes {
+		// a write between Table.Subscribe and Subscribe's own check
+		s.publish(cur, brokenImage(fmt.Sprintf("populated at write %d of the table, told of write %d", cur.writes, writes)))
+		return
+	}
+	next, err := cur.written(rowID, row, writes)
+	if err != nil {
+		s.publish(cur, brokenImage(fmt.Sprintf("row %d could not be maintained: %v", rowID, err)))
+		return
+	}
+	mRowsMaintained.Inc()
+	s.publish(cur, next)
 }
 
-// numPopulated returns the number of rows materialized by the OSON
-// populations.
-func (s *Store) numPopulated() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.osonDocs)
-}
-
-// Substitute implements sqlengine.InMemorySource.
+// Substitute implements sqlengine.InMemorySource on the current image.
 func (s *Store) Substitute(rowID int, col string) (jsondom.Value, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if col == s.osonCol && rowID >= 0 && rowID < len(s.osonDocs) {
-		v := s.osonDocs[rowID]
-		if v != nil && v.Kind() != jsondom.KindNull {
-			return v, true
-		}
-		return nil, false
-	}
-	if vec, ok := s.vectors[col]; ok && rowID >= 0 && rowID < vec.Len() {
-		return vec.Value(rowID), true
-	}
-	return nil, false
+	return s.img.Load().Substitute(rowID, col)
+}
+
+// CompileBatchFilter compiles a predicate kernel against the current
+// image (Image.CompileBatchFilter).
+func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (BatchKernel, bool) {
+	return s.img.Load().CompileBatchFilter(col, op, operands)
 }
 
 // Partitions splits the populated row range [0, len(osonDocs)) into at
 // most k contiguous [lo, hi) ranges for parallel consumers, mirroring
 // store.Table.Partitions.
 func (s *Store) Partitions(k int) [][2]int {
-	n := s.numPopulated()
+	n := len(s.img.Load().osonDocs)
 	if k < 1 {
 		k = 1
 	}
@@ -239,42 +335,45 @@ func (s *Store) Partitions(k int) [][2]int {
 }
 
 func numericOperand(v jsondom.Value) (float64, bool) {
-	switch t := v.(type) {
-	case jsondom.Number:
-		return t.Float64(), true
-	case jsondom.Double:
-		return float64(t), true
-	}
-	return 0, false
+	c := valOf(v)
+	return c.num, c.kind == kindNum
 }
 
-// Vector returns a populated vector by column name.
+// Vector returns a populated vector by column name, as it was last
+// built: rows written since are not in it (Image.Vector says when that
+// matters).
 func (s *Store) Vector(name string) (*Vector, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.vectors[name]
-	return v, ok
+	if vc := s.img.Load().vcol(name); vc != nil {
+		return vc.vec, true
+	}
+	return nil, false
 }
+
+// PopulatedColumns lists the populated column vectors in sorted order.
+func (s *Store) PopulatedColumns() []string { return s.img.Load().PopulatedColumns() }
 
 // MemoryBytes reports the total in-memory footprint: OSON bytes plus
-// vector bytes.
+// vector bytes, the pending rows' documents included.
 func (s *Store) MemoryBytes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	m := s.img.Load()
 	total := 0
-	for _, d := range s.osonDocs {
-		switch t := d.(type) {
-		case jsondom.Binary:
-			total += len(t)
-		case oson.SharedValue:
-			total += len(t.Doc.Bytes())
+	for _, d := range m.osonDocs {
+		total += docBytes(d)
+	}
+	if m.sharedDict != nil {
+		total += m.sharedDict.MemoryBytes()
+	}
+	for _, vc := range m.vcs {
+		total += vc.vec.MemoryBytes()
+	}
+	if m.delta != nil {
+		for _, cd := range m.delta.chunks {
+			if cd != nil {
+				for _, d := range cd.docs {
+					total += docBytes(d)
+				}
+			}
 		}
-	}
-	if s.sharedDict != nil {
-		total += s.sharedDict.MemoryBytes()
-	}
-	for _, v := range s.vectors {
-		total += v.MemoryBytes()
 	}
 	return total
 }

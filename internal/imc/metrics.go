@@ -1,6 +1,7 @@
-// IMC population observability: one counter bump per population
-// operation plus row/byte volume, accumulated locally during the scan
-// and flushed once per population.
+// IMC population and maintenance observability: one counter bump per
+// population operation plus row/byte volume, accumulated locally during
+// the scan and flushed once per population; one per written row a
+// subscribed store computed the image of, and one per fold.
 
 package imc
 
@@ -17,4 +18,10 @@ var (
 	// (re)populated.
 	gBytesDict  = metrics.NewGauge("imc.bytes.dict", "bytes held by string-vector dictionaries (distinct values, counted once)")
 	gBytesCodes = metrics.NewGauge("imc.bytes.codes", "bytes held by string-vector code arrays (4 bytes per row)")
+
+	// DML maintenance (image.go): a store attached to an engine is told of
+	// every write to its table.
+	mRowsMaintained = metrics.NewCounter("imc.rows_maintained", "written rows whose in-memory image an attached store computed (one OSON encode and one evaluation per populated virtual column each)")
+	mFolds          = metrics.NewCounter("imc.folds", "times the rows pending since population were folded into fresh vectors")
+	gDeltaRows      = metrics.NewGauge("imc.delta.rows", "rows attached stores currently serve from their delta instead of their vectors")
 )

@@ -11,7 +11,6 @@ package imc
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dataguide"
 )
@@ -76,25 +75,3 @@ func computeStats(v *Vector) ColStats {
 // Stats returns the column statistics computed when the vector was
 // built.
 func (v *Vector) Stats() ColStats { return v.stats }
-
-// PopulatedColumns lists the populated column vectors in sorted order.
-func (s *Store) PopulatedColumns() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cols := make([]string, 0, len(s.vectors))
-	for c := range s.vectors {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	return cols
-}
-
-// ColumnStats returns the statistics of a populated column vector,
-// false when the column is not populated.
-func (s *Store) ColumnStats(col string) (ColStats, bool) {
-	vec, ok := s.vector(col)
-	if !ok {
-		return ColStats{}, false
-	}
-	return vec.stats, true
-}

@@ -12,6 +12,7 @@ package imc
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/jsondom"
@@ -94,16 +95,83 @@ func (v *Vector) MemoryBytes() int {
 // zoneMapBytes is the accounted size of one ZoneMap.
 const zoneMapBytes = 8 + 8 + 4 + 4 + 8 + 8
 
-// vectorBuilder accumulates virtual-column evaluation results row by
-// row during population and finalizes them into a chunked,
-// dictionary-encoded Vector. Type is inferred from the first non-null
-// value; later values of a different type degrade to null, matching
-// the row-level JSON_VALUE comparison semantics.
+// colVal is one column value in the representation vectors store: a
+// float64, a string, or null. It is what a virtual-column expression's
+// result is reduced to before it enters a vector — at population — or
+// the delta of the rows written since (image.go).
+type colVal struct {
+	kind colKind
+	num  float64
+	str  string
+}
+
+type colKind uint8
+
+const (
+	kindNull colKind = iota // also: a value that is neither number nor string
+	kindNum
+	kindStr
+)
+
+// valOf reduces an expression result to a colVal.
+func valOf(v jsondom.Value) colVal {
+	switch t := v.(type) {
+	case jsondom.Number:
+		return colVal{kind: kindNum, num: t.Float64()}
+	case jsondom.Double:
+		return colVal{kind: kindNum, num: float64(t)}
+	case jsondom.String:
+		return colVal{kind: kindStr, str: string(t)}
+	}
+	return colVal{}
+}
+
+// value renders the colVal as the SQL value a vector of its kind would
+// return for it (Vector.Value).
+func (c colVal) value() jsondom.Value {
+	switch c.kind {
+	case kindNum:
+		return jsondom.NumberFromFloat(c.num)
+	case kindStr:
+		return jsondom.String(c.str)
+	}
+	return jsondom.Null{}
+}
+
+// at returns row i as a colVal; rows the vector does not hold are null.
+func (v *Vector) at(i int) colVal {
+	switch {
+	case i >= len(v.Nulls) || v.Nulls[i]:
+		return colVal{}
+	case v.IsNumber:
+		return colVal{kind: kindNum, num: v.Nums[i]}
+	}
+	return colVal{kind: kindStr, str: v.dict[v.codes[i]]}
+}
+
+// conform returns c as the vector would store it: a value of the other
+// type degrades to null, as it does when a vector is built.
+func (v *Vector) conform(c colVal) colVal {
+	if (c.kind == kindNum) != v.IsNumber && c.kind != kindNull {
+		return colVal{}
+	}
+	return c
+}
+
+// untyped reports whether the vector has only ever held NULLs, so that
+// no value has fixed its type yet.
+func (v *Vector) untyped() bool { return v.stats.Nulls == v.stats.Rows }
+
+// vectorBuilder accumulates column values row by row during population
+// (or a fold) and finalizes them into a chunked, dictionary-encoded
+// Vector. Type is inferred from the first non-null value; later values
+// of a different type degrade to null, matching the row-level
+// JSON_VALUE comparison semantics.
 type vectorBuilder struct {
 	typed    bool
 	isNumber bool
-	nums     []float64
-	strs     []string
+	nums     []float64 // isNumber: one per row
+	strs     []string  // typed and not isNumber: one per row
 	nulls    []bool
 }
 
@@ -111,44 +179,31 @@ func newVectorBuilder(capacity int) *vectorBuilder {
 	return &vectorBuilder{nulls: make([]bool, 0, capacity)}
 }
 
-func (b *vectorBuilder) addNull() {
-	b.nulls = append(b.nulls, true)
-	b.nums = append(b.nums, 0)
-	b.strs = append(b.strs, "")
+// setType fixes the vector's type; the rows added so far are all null.
+func (b *vectorBuilder) setType(isNumber bool) {
+	b.typed, b.isNumber = true, isNumber
+	if isNumber {
+		b.nums = make([]float64, len(b.nulls), cap(b.nulls))
+	} else {
+		b.strs = make([]string, len(b.nulls), cap(b.nulls))
+	}
 }
 
-func (b *vectorBuilder) add(v jsondom.Value) {
-	if v == nil || v.Kind() == jsondom.KindNull {
-		b.addNull()
-		return
+func (b *vectorBuilder) addVal(c colVal) {
+	if !b.typed && c.kind != kindNull {
+		b.setType(c.kind == kindNum)
 	}
-	if !b.typed {
-		b.typed = true
-		b.isNumber = v.Kind() == jsondom.KindNumber || v.Kind() == jsondom.KindDouble
+	if c.kind == kindNull || (c.kind == kindNum) != b.isNumber {
+		c = colVal{} // NULL, or type drift after inference: store as null
 	}
-	if b.isNumber {
-		switch t := v.(type) {
-		case jsondom.Number:
-			b.nums = append(b.nums, t.Float64())
-		case jsondom.Double:
-			b.nums = append(b.nums, float64(t))
-		default:
-			// type drift after inference: store as null
-			b.addNull()
-			return
-		}
-		b.nulls = append(b.nulls, false)
-		b.strs = append(b.strs, "")
-		return
+	b.nulls = append(b.nulls, c.kind == kindNull)
+	switch {
+	case !b.typed:
+	case b.isNumber:
+		b.nums = append(b.nums, c.num)
+	default:
+		b.strs = append(b.strs, c.str)
 	}
-	t, ok := v.(jsondom.String)
-	if !ok {
-		b.addNull()
-		return
-	}
-	b.nulls = append(b.nulls, false)
-	b.strs = append(b.strs, string(t))
-	b.nums = append(b.nums, 0)
 }
 
 // build dictionary-encodes string vectors, drops the representation
@@ -162,22 +217,21 @@ func (b *vectorBuilder) build() *Vector {
 		vec.stats = computeStats(vec)
 		return vec
 	}
-	uniq := make(map[string]struct{}, len(b.strs))
+	code := make(map[string]uint32, len(b.strs))
 	for i, s := range b.strs {
 		if !b.nulls[i] {
-			uniq[s] = struct{}{}
+			code[s] = 0
 		}
 	}
-	vec.dict = make([]string, 0, len(uniq))
-	for s := range uniq {
+	vec.dict = make([]string, 0, len(code))
+	for s := range code {
 		vec.dict = append(vec.dict, s)
 	}
 	sort.Strings(vec.dict)
-	code := make(map[string]uint32, len(vec.dict))
 	for i, s := range vec.dict {
 		code[s] = uint32(i)
 	}
-	vec.codes = make([]uint32, len(b.strs))
+	vec.codes = make([]uint32, len(b.nulls))
 	for i, s := range b.strs {
 		if !b.nulls[i] {
 			vec.codes[i] = code[s]
@@ -210,12 +264,15 @@ type BatchKernel struct {
 // (§5.2.1). It implements the engine's BatchFilterSource contract;
 // compilation declines (ok=false) on an unknown column, an unsupported
 // op or arity, or an operand/vector type mismatch, so the planner can
-// keep the conjunct as a row-level filter.
-func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (BatchKernel, bool) {
-	vec, ok := s.vector(col)
-	if !ok {
+// keep the conjunct as a row-level filter. Over an image with pending
+// rows the kernel decides those on their delta values (overlay); over a
+// clean one it is the vector's kernel and nothing else.
+func (m *Image) CompileBatchFilter(col, op string, operands []jsondom.Value) (BatchKernel, bool) {
+	ci := slices.IndexFunc(m.vcs, func(vc vcol) bool { return vc.name == col })
+	if ci < 0 {
 		return BatchKernel{}, false
 	}
+	vec := m.vcs[ci].vec
 	if vec.IsNumber {
 		nums := make([]float64, len(operands))
 		for i, o := range operands {
@@ -225,7 +282,11 @@ func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (Ba
 			}
 			nums[i] = f
 		}
-		return numberBatchKernel(vec, op, nums)
+		k, ok := numberBatchKernel(vec, op, nums)
+		if ok && m.delta != nil {
+			k = m.delta.overlay(k, ci, numberMatcher(op, nums))
+		}
+		return k, ok
 	}
 	strs := make([]string, len(operands))
 	for i, o := range operands {
@@ -239,16 +300,75 @@ func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (Ba
 	if !ok {
 		return BatchKernel{}, false
 	}
-	return stringBatchKernel(vec, plan), true
+	k := stringBatchKernel(vec, plan)
+	if m.delta != nil {
+		k = m.delta.overlay(k, ci, stringMatcher(op, strs))
+	}
+	return k, true
 }
 
-// numberBatchKernel compiles a numeric predicate. Every op except !=
-// reduces to one inclusive interval [lo, hi] — strict bounds are
-// tightened to the adjacent representable float — so the inner loop
-// is a two-comparison range test and the zone map prune is a
-// two-comparison interval overlap check.
-func numberBatchKernel(vec *Vector, op string, args []float64) (BatchKernel, bool) {
-	lo, hi := math.Inf(-1), math.Inf(1)
+// overlay wraps a vector's kernel for an image with pending rows: in a
+// chunk's selection a pending row's bit survives when it was set on the
+// way in and match accepts the row's delta value for column ci —
+// whatever the vector holds under that row id, if it holds the id at
+// all. The zone maps keep their worth: a chunk they rule out is pruned
+// unless a pending row of it matches, and then the vector's rows are
+// not tested either.
+func (d *delta) overlay(k BatchKernel, ci int, match func(colVal) bool) BatchKernel {
+	return BatchKernel{
+		Prune: func(chunk int) bool {
+			if !k.Prune(chunk) {
+				return false
+			}
+			if cd := d.chunk(chunk); cd != nil {
+				for j := range cd.ids {
+					if match(cd.vals[j*d.width+ci]) {
+						return false
+					}
+				}
+			}
+			return true
+		},
+		And: func(chunk int, sel *Bitmap) {
+			cd := d.chunk(chunk)
+			if cd == nil {
+				k.And(chunk, sel)
+				return
+			}
+			// pending: the chunk's pending rows; keep: those of them that
+			// stay selected
+			var pending, keep [ChunkSize / 64]uint64
+			words, base := sel.Words(), chunk*ChunkSize
+			for j, id := range cd.ids {
+				i := id - base
+				if i >= sel.Len() {
+					break // the scan's range ends inside the chunk
+				}
+				bit := uint64(1) << uint(i&63)
+				pending[i>>6] |= bit
+				if words[i>>6]&bit != 0 && match(cd.vals[j*d.width+ci]) {
+					keep[i>>6] |= bit
+				}
+			}
+			if k.Prune(chunk) {
+				sel.ClearAll()
+			} else {
+				k.And(chunk, sel)
+			}
+			for w := range words {
+				words[w] = words[w]&^pending[w] | keep[w]
+			}
+		},
+	}
+}
+
+// numberRange reduces a numeric predicate to what the kernel and the
+// delta matcher both test: every op except != is one inclusive interval
+// [lo, hi] — strict bounds are tightened to the adjacent representable
+// float, and lo > hi matches nothing — and != excludes the one value it
+// returns in lo (ne true). ok is false for an unsupported op or arity.
+func numberRange(op string, args []float64) (lo, hi float64, ne, ok bool) {
+	lo, hi = math.Inf(-1), math.Inf(1)
 	switch {
 	case op == "=" && len(args) == 1:
 		lo, hi = args[0], args[0]
@@ -263,7 +383,58 @@ func numberBatchKernel(vec *Vector, op string, args []float64) (BatchKernel, boo
 	case op == "between" && len(args) == 2:
 		lo, hi = args[0], args[1]
 	case op == "!=" && len(args) == 1:
-		a := args[0]
+		return args[0], 0, true, true
+	default:
+		return 0, 0, false, false
+	}
+	return lo, hi, false, true
+}
+
+// numberMatcher is numberBatchKernel's predicate on one delta value.
+func numberMatcher(op string, args []float64) func(colVal) bool {
+	lo, hi, ne, _ := numberRange(op, args)
+	if ne {
+		return func(c colVal) bool { return c.kind == kindNum && c.num != lo }
+	}
+	return func(c colVal) bool { return c.kind == kindNum && c.num >= lo && c.num <= hi }
+}
+
+// stringMatcher is the code plan's predicate on one delta value, which
+// need not be in the vector's dictionary: it compares the strings the
+// way the sorted dictionary orders its codes.
+func stringMatcher(op string, args []string) func(colVal) bool {
+	return func(c colVal) bool {
+		if c.kind != kindStr {
+			return false
+		}
+		switch op {
+		case "=":
+			return c.str == args[0]
+		case "!=":
+			return c.str != args[0]
+		case "<":
+			return c.str < args[0]
+		case "<=":
+			return c.str <= args[0]
+		case ">":
+			return c.str > args[0]
+		case ">=":
+			return c.str >= args[0]
+		}
+		return c.str >= args[0] && c.str <= args[1] // between
+	}
+}
+
+// numberBatchKernel compiles a numeric predicate (numberRange): the
+// inner loop is a two-comparison range test and the zone map prune is a
+// two-comparison interval overlap check.
+func numberBatchKernel(vec *Vector, op string, args []float64) (BatchKernel, bool) {
+	lo, hi, ne, ok := numberRange(op, args)
+	if !ok {
+		return BatchKernel{}, false
+	}
+	if ne {
+		a := lo
 		return BatchKernel{
 			Prune: func(chunk int) bool {
 				z, ok := vec.Zone(chunk)
@@ -289,8 +460,6 @@ func numberBatchKernel(vec *Vector, op string, args []float64) (BatchKernel, boo
 				finishChunk(words, w, wi, limit)
 			},
 		}, true
-	default:
-		return BatchKernel{}, false
 	}
 	if lo > hi {
 		// statically empty interval (e.g. BETWEEN with reversed bounds):

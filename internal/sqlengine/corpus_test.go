@@ -166,11 +166,9 @@ func corpusLookupDoc(j int) string {
 }
 
 // corpusDocs / corpusLookups size d and lk. corpusDeletedDocs sizes td,
-// a two-chunk copy of t's data with its 'w003' rows deleted. td gets no
-// IMC store: DML detaches one anyway, and populating a store over
-// tombstones misaligns its vectors (imc.PopulateVC appends live rows
-// densely — ROADMAP item 2), so every mode scans td's tombstones on the
-// row store.
+// a two-chunk copy of t's data with its 'w003' rows deleted before its
+// store is populated: the vectors carry a null slot under every
+// tombstone, so that they stay indexed by row id.
 const corpusDocs, corpusLookups, corpusDeletedDocs = 1400, 30, 1100
 
 // newCorpusEngine builds the corpus tables under one storage mode —
@@ -240,6 +238,7 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 		attachIMC(t, e, "d", "vn", "vs", "vg", "vprice", "vcity")
 		attachIMC(t, e, "lk", "vk", "vw")
 		attachIMC(t, e, "t", "vn", "vs")
+		attachIMC(t, e, "td", "vn", "vs")
 		attachIMC(t, e, "orders", "vk", "vamt")
 		attachIMC(t, e, "custs", "vid", "vname")
 	}

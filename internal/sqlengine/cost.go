@@ -21,22 +21,8 @@ import (
 	"strings"
 
 	"repro/internal/dataguide"
-	"repro/internal/imc"
 	"repro/internal/jsondom"
 )
-
-// ColumnStatsSource is an optional InMemorySource extension: a source
-// that exposes the population-time statistics of its column vectors
-// (imc.Store implements it). The cost model prefers these over
-// DataGuide statistics because dictionary-encoded string vectors carry
-// an exact NDV.
-type ColumnStatsSource interface {
-	// ColumnStats returns the statistics of one populated column,
-	// false when the column is not populated.
-	ColumnStats(col string) (imc.ColStats, bool)
-	// PopulatedColumns lists the populated columns in sorted order.
-	PopulatedColumns() []string
-}
 
 // Default selectivities, used when no statistic resolves for a
 // predicate column — the classic textbook constants.
@@ -164,8 +150,11 @@ func (cc *costCtx) columnEstimate(x Expr) (colEstimate, bool) {
 // IMC vector statistics first, then — for a virtual column defined as
 // JSON_VALUE — the DataGuide entry of its path.
 func (cc *costCtx) resolveColumn(table, col string) (colEstimate, bool) {
-	if css, ok := cc.e.imcSource(table).(ColumnStatsSource); ok {
-		if st, ok := css.ColumnStats(col); ok && st.Rows > 0 {
+	if bfs, ok := cc.e.imcSource(table).(BatchFilterSource); ok {
+		// population-time statistics: a dictionary-encoded string vector
+		// carries an exact NDV, which the DataGuide's sketch does not
+		if vec, ok := bfs.Vector(col); ok && vec.Len() > 0 {
+			st := vec.Stats()
 			ce := colEstimate{
 				rows:    float64(st.Rows),
 				nonNull: float64(st.Rows - st.Nulls),

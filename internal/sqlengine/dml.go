@@ -1,9 +1,9 @@
 // UPDATE and DELETE execution. Both read through the SELECT planner
-// (dmlRead) and only then write. The read scans the table, never the
-// attached in-memory store (scanTable), and the write detaches that
-// store (its contents would be stale); search indexes stay
-// attached — the persistent DataGuide is additive by design (§3.4) and
-// tombstoned row ids simply disappear from posting results.
+// (dmlRead), the attached in-memory store included, and only then
+// write; the table tells the store of every written row, so it stays
+// attached and consistent. Search indexes stay attached too — the
+// persistent DataGuide is additive by design (§3.4) and tombstoned row
+// ids simply disappear from posting results.
 
 package sqlengine
 
@@ -44,7 +44,6 @@ func (e *Engine) runDelete(ctx context.Context, t *DeleteStmt, params []jsondom.
 		}
 		tab.Delete(rowIDOf(r))
 	}
-	e.DetachIMC(tab.Name)
 	return affected(len(rows)), nil
 }
 
@@ -88,14 +87,12 @@ func (e *Engine) runUpdate(ctx context.Context, t *UpdateStmt, params []jsondom.
 			return nil, err
 		}
 	}
-	e.DetachIMC(tab.Name)
 	return affected(len(rows)), nil
 }
 
 // dmlRead is the read half of UPDATE and DELETE: it plans
 // `select ROWID, <set expressions> from tab where <where>` through the
-// SELECT planner — the same access-path choice (minus the in-memory
-// store, which a write cannot trust: scanTable), ExecCtx, memory budget
+// SELECT planner — the same access-path choice, ExecCtx, memory budget
 // and counters as a query, with virtual columns computed only where the
 // statement references them — and drains it, so every matching row id
 // and every new value is in hand before the first write. The

@@ -77,16 +77,14 @@ func checkModel(t *testing.T, e *Engine, model map[int]*modelRow, step int, last
 // spelling the VC rewrite turns into one, JSON_EXISTS over the search
 // index with a residual, and no WHERE at all, under both scan configs.
 // With a store, it is populated and attached at random steps — after
-// deletes too — and stays attached across the inserts that follow, so
-// the DML statements meet every state the public API can reach: a fresh
-// store, one that lacks the newest rows, and one populated over
-// tombstones, whose vectors are misaligned with the row ids (ROADMAP
-// item 2). A write must come out right in all of them. SELECT still
-// trusts the store (item 2 is about exactly that), so the test's own
-// reads detach a store that is no longer fresh. The key-equality
-// UPDATE and DELETE arms go through the primary-key lookup in every one
-// of those states and under both configs (a row-id scan never fans
-// out): their scan selects the one row, or none when the key is gone.
+// deletes too — and stays attached, and subscribed to the table, for all
+// the statements that follow: the reads of UPDATE and DELETE go through
+// it like the SELECTs do, and meet a fresh store, one with rows pending
+// in its delta, one that has folded them and one populated over
+// tombstones. The key-equality UPDATE and DELETE arms go through the
+// primary-key lookup in every one of those states and under both
+// configs (a row-id scan never fans out): their scan selects the one
+// row, or none when the key is gone.
 func TestDMLInterleavingAgainstModel(t *testing.T) {
 	num := func(v int) jsondom.Value { return jsondom.NumberFromInt(int64(v)) }
 	for _, withIMC := range []bool{false, true} {
@@ -95,23 +93,17 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 			cfg.set(&e.Planner)
 			rng := rand.New(rand.NewSource(17))
 			label := fmt.Sprintf("imc=%v %s", withIMC, cfg.label)
-			nextID, deleted, stale := dmlModelRows, false, false
+			nextID := dmlModelRows
 			for _, q := range []string{`id = 5`, `id = ?`, `? = id and n > 0`} {
 				plan := explainPlan(t, e, `explain select id from m where `+q, num(5))
 				if !strings.Contains(plan, "TableScan(m via-pk)") || strings.Contains(plan, "ParallelScan") {
 					t.Fatalf("%s: where %s does not plan a serial key lookup:\n%s", label, q, plan)
 				}
 			}
-			read := func() { // about to SELECT: the store must be fresh
-				if stale {
-					e.DetachIMC("m")
-				}
-			}
 			const steps = 160
 			for step := 0; step < steps; step++ {
 				if withIMC && rng.Intn(3) == 0 {
 					attachIMC(t, e, "m", "vk")
-					stale = deleted
 				}
 				var sql string
 				var params []jsondom.Value
@@ -152,7 +144,6 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 							want++
 						}
 					}
-					read()
 					if got := fmt.Sprint(mustExec(t, e, sql, params...).Rows); got != fmt.Sprintf("[[%d]]", want) {
 						t.Fatalf("%s step %d: %s = %s, want %d", label, step, sql, got, want)
 					}
@@ -166,12 +157,11 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				case 9:
 					sql, params = `delete from m where json_exists(jdoc, '$.opt') and id >= ? and id < ?`, []jsondom.Value{num(id), num(id + 40)}
 					hit = func(i int, r *modelRow) bool { return r.opt && i >= id && i < id+40 }
-				default: // an insert the attached store does not see
+				default:
 					doc := fmt.Sprintf(`{"k":%d,"tag":"new","opt":1}`, c%7)
 					mustExec(t, e, `insert into m values (?, ?, ?)`, num(nextID), jsondom.String(doc), num(c))
 					model[nextID] = &modelRow{k: c % 7, n: c, opt: true}
 					nextID++
-					stale = true
 					continue
 				}
 				want := 0
@@ -180,7 +170,6 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 						want++
 						if apply == nil {
 							delete(model, i)
-							deleted = true
 						} else {
 							apply(r)
 						}
@@ -193,13 +182,22 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				if scanned = mScanRows.Value() - scanned; byKey && scanned != int64(want) {
 					t.Fatalf("%s step %d: %s scanned %d rows to write %d", label, step, sql, scanned, want)
 				}
-				stale = false // the statement detached the store
 				if step%10 == 9 {
 					checkModel(t, e, model, step, sql)
 				}
 			}
-			read()
 			checkModel(t, e, model, steps, "the last step")
+			if withIMC {
+				if plan := explainPlan(t, e, `explain select id from m where vk >= 1`); !strings.Contains(plan, "vec-filters=1") {
+					t.Fatalf("%s: the store did not survive %d steps of DML:\n%s", label, steps, plan)
+				}
+				// and the read of an UPDATE gets its kernels
+				chunks := mIMCScanChunks.Value()
+				mustExec(t, e, `update m set n = n where vk >= ?`, num(6))
+				if mIMCScanChunks.Value() == chunks {
+					t.Fatalf("%s: update ... where vk >= ? ran no vector kernel", label)
+				}
+			}
 			if got := fmt.Sprint(mustExec(t, e, `delete from m`).Rows); got != fmt.Sprintf("[[%d]]", len(model)) {
 				t.Fatalf("%s: delete without WHERE affected %s rows, want %d", label, got, len(model))
 			}
@@ -210,20 +208,36 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 	}
 }
 
-// TestDMLOverStaleStore pins the two states in which an attached store
-// disagrees with its table, each reached through the public API alone:
-// a row inserted after the population, and a population over a
-// tombstone. UPDATE and DELETE read the table, not the store, so both
-// write exactly the rows the predicate names.
-func TestDMLOverStaleStore(t *testing.T) {
+// TestDMLOverMaintainedStore pins the two states in which an attached
+// store used to disagree with its table, each reached through the public
+// API alone: a row inserted after the population, and a population over
+// a tombstone. The store now agrees with the table in both — the insert
+// reaches it through its subscription, the population leaves a null slot
+// under the tombstone — so UPDATE and DELETE read through it, kernels
+// and all, and write exactly the rows the predicate names.
+func TestDMLOverMaintainedStore(t *testing.T) {
 	e, model := newDMLModelEngine(t)
+	e.Planner.DisableParallelScan = true
 	attachIMC(t, e, "m", "vk")
 	mustExec(t, e, `insert into m values (9001, '{"k":3,"tag":"new"}', 1)`)
 	model[9001] = &modelRow{k: 3, n: 99}
-	if got := fmt.Sprint(mustExec(t, e, `update m set n = 99 where vk = 3 and id > 9000`).Rows); got != "[[1]]" {
-		t.Fatalf("update of the row the store lacks affected %s rows, want 1", got)
+	if plan := explainPlan(t, e, `explain select id from m where vk = 3 and id > 9000`); !strings.Contains(plan, "imc: delta=1 stale=0") {
+		t.Fatalf("EXPLAIN does not report the pending insert:\n%s", plan)
 	}
-	checkModel(t, e, model, 1, "update over a store that lacks the newest row")
+	if got := fmt.Sprint(mustExec(t, e, `select id from m where vk = 3 and id > 9000`).Rows); got != "[[9001]]" {
+		t.Fatalf("select of the row inserted after the population = %s", got)
+	}
+	selected := mIMCScanSelRows.Value()
+	if got := fmt.Sprint(mustExec(t, e, `update m set n = 99 where vk = 3 and id > 9000`).Rows); got != "[[1]]" {
+		t.Fatalf("update of the row inserted after the population affected %s rows, want 1", got)
+	}
+	if mIMCScanSelRows.Value() == selected {
+		t.Fatal("the update's read ran no vector kernel")
+	}
+	checkModel(t, e, model, 1, "update of a row inserted after the population")
+	if plan := explainPlan(t, e, `explain select id from m where vk = 3`); !strings.Contains(plan, "vec-filters=1") || !strings.Contains(plan, "imc: delta=1 stale=0") {
+		t.Fatalf("after the update the store is not attached with one row pending:\n%s", plan)
+	}
 
 	mustExec(t, e, `delete from m where id = 0`)
 	delete(model, 0)
@@ -239,7 +253,6 @@ func TestDMLOverStaleStore(t *testing.T) {
 	}
 	checkModel(t, e, model, 2, "update over a store populated over a tombstone")
 
-	attachIMC(t, e, "m", "vk")
 	for id, r := range model {
 		if r.k == 5 {
 			delete(model, id)
@@ -247,6 +260,9 @@ func TestDMLOverStaleStore(t *testing.T) {
 	}
 	mustExec(t, e, `delete from m where vk = 5`)
 	checkModel(t, e, model, 3, "delete over a store populated over a tombstone")
+	if got := fmt.Sprint(mustExec(t, e, `select count(*) from m where vk = 5`).Rows); got != "[[0]]" {
+		t.Fatalf("rows with vk = 5 after their delete: %s", got)
+	}
 }
 
 // TestDMLFaults lands a cancellation at the k-th context poll of a

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/imc"
 	"repro/internal/jsondom"
 	"repro/internal/metrics"
 	"repro/internal/searchindex"
@@ -111,21 +110,26 @@ func New() *Engine {
 func (e *Engine) Catalog() *store.Catalog { return e.cat }
 
 // AttachIMC installs an in-memory substitution source for a table,
-// the population step of §5.2.2 / §5.2.1.
+// the population step of §5.2.2 / §5.2.1; nil detaches. A
+// MaintainedSource is subscribed to the table's writes from here until
+// it is detached or replaced. Cached plans bind the source at plan
+// time, so a change of source invalidates them.
 func (e *Engine) AttachIMC(table string, src InMemorySource) {
-	e.setIMC(strings.ToLower(table), src)
-	e.invalidatePlans()
-}
-
-// DetachIMC removes the in-memory source for a table. Cached plans
-// bind the source at plan time, so an actual detach invalidates them;
-// detaching a table with no source attached (the DML paths call this
-// unconditionally) leaves the cache alone.
-func (e *Engine) DetachIMC(table string) {
-	if e.removeIMC(strings.ToLower(table)) {
+	old := e.swapIMC(strings.ToLower(table), src)
+	if ms, ok := old.(MaintainedSource); ok && old != src {
+		ms.Unsubscribe()
+	}
+	if ms, ok := src.(MaintainedSource); ok {
+		ms.Subscribe()
+	}
+	if old != nil || src != nil {
 		e.invalidatePlans()
 	}
 }
+
+// DetachIMC removes the in-memory source for a table and ends its
+// subscription to the table's writes.
+func (e *Engine) DetachIMC(table string) { e.AttachIMC(table, nil) }
 
 // Locked accessors for the engine's mutable catalog maps. Every read
 // or write of e.imc / e.views / e.indexes / e.tableIndexes /
@@ -133,21 +137,13 @@ func (e *Engine) DetachIMC(table string) {
 // deferred-unlock one-liner (the lockcheck invariant) and the callers
 // — planning, DDL, rewrite — never hold e.mu across real work.
 
-// setIMC publishes the in-memory source for a (lowercased) table name.
-func (e *Engine) setIMC(name string, src InMemorySource) {
+// swapIMC publishes the in-memory source for a (lowercased) table name
+// — nil detaches — and returns the source it replaces.
+func (e *Engine) swapIMC(name string, src InMemorySource) (old InMemorySource) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.imc[name] = src
-}
-
-// removeIMC detaches a table's in-memory source, reporting whether one
-// was attached.
-func (e *Engine) removeIMC(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, had := e.imc[name]
-	delete(e.imc, name)
-	return had
+	old, e.imc[name] = e.imc[name], src
+	return old
 }
 
 // imcSource returns the in-memory source attached to a table, nil if
@@ -948,13 +944,9 @@ func eachTableRef(f FromItem, fn func(*TableRef)) {
 // table reference against the catalog and builds its scan — virtual
 // columns computed only where the level references them, the attached
 // in-memory source substituted, and the row id appended as a hidden
-// column when the level asks for it. nil when the name is not a table.
-//
-// A level that asks for the row id is the read half of an UPDATE or
-// DELETE, and it scans the table itself: the attached store may be
-// stale (INSERT and Collection.Put do not detach it) or populated over
-// tombstones (ROADMAP item 2), and a write must not act on row ids or
-// values a stale vector produced.
+// column when the level asks for it (the read half of an UPDATE or
+// DELETE, which reads through the store like any query: the store is
+// consistent under DML). nil when the name is not a table.
 func (e *Engine) scanTable(t *TableRef, lv *selectLevel) *tableScan {
 	name, alias := t.resolved()
 	tab, ok := e.cat.Table(name)
@@ -965,6 +957,7 @@ func (e *Engine) scanTable(t *TableRef, lv *selectLevel) *tableScan {
 		tab:       tab,
 		alias:     alias,
 		cols:      tab.Columns(),
+		sub:       e.imcSource(name),
 		samplePct: t.SamplePct,
 		env:       lv.env,
 	}
@@ -974,8 +967,6 @@ func (e *Engine) scanTable(t *TableRef, lv *selectLevel) *tableScan {
 	}
 	if lv.referenced[rowIDColumn] {
 		s.sch = append(s.sch, ColMeta{Table: alias, Name: rowIDColumn, Hidden: true})
-	} else {
-		s.sub = e.imcSource(name)
 	}
 	return s
 }
@@ -1046,45 +1037,30 @@ func pkAccess(scan *tableScan, where Expr) (Expr, bool) {
 	return where, false
 }
 
-// vectorAccess compiles WHERE conjuncts over vector-backed columns of
-// the scan's in-memory source to chunk kernels applied before row
-// materialization — constant predicates at plan time, bind-dependent
-// ones at the scan's Open; the conjuncts the compiler declines are
-// returned as the residual filter.
+// vectorAccess hands the WHERE conjuncts that compare a vector-backed
+// column of the scan's in-memory source with constants or binds to the
+// scan, which compiles them to chunk kernels at its Open (tableScan.
+// vecSpecs); the other conjuncts are returned as the residual filter.
 func (e *Engine) vectorAccess(scan *tableScan, where Expr) (Expr, bool) {
 	bfs, ok := scan.sub.(BatchFilterSource)
 	if !ok || e.Planner.DisableVectorFilter {
 		return where, false
 	}
-	var kernels []imc.BatchKernel
-	var kernelLabels []string
 	var specs []vecFilterSpec
 	var residual Expr
 	for _, c := range splitAnd(where) {
 		if spec, ok := recognizeVecFilter(c); ok {
-			if specHasParam(spec) {
-				// bind-dependent: compiled by the scan's Open with the
-				// execution's parameter values
+			if _, ok := bfs.Vector(spec.col); ok {
 				specs = append(specs, spec)
 				continue
-			}
-			if vals, ok := spec.operandValues(nil); ok {
-				if k, ok := bfs.CompileBatchFilter(spec.col, spec.op, vals); ok {
-					kernels = append(kernels, k)
-					kernelLabels = append(kernelLabels, spec.col+" "+spec.op)
-					continue
-				}
 			}
 		}
 		residual = andExpr(residual, c)
 	}
-	if len(kernels)+len(specs) == 0 {
+	if len(specs) == 0 {
 		return where, false
 	}
 	scan.vecSpecs = specs
-	scan.batchKernels = kernels
-	scan.batchLabels = kernelLabels
-	scan.bsrc = bfs
 	return residual, true
 }
 
@@ -1121,15 +1097,6 @@ func recognizeVecFilter(c Expr) (vecFilterSpec, bool) {
 		}
 	}
 	return vecFilterSpec{}, false
-}
-
-func specHasParam(spec vecFilterSpec) bool {
-	for _, x := range spec.operands {
-		if _, ok := x.(*Param); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // indexAccess accelerates `WHERE json_exists(col, '$...')` using the

@@ -58,6 +58,13 @@ type opExtraNode interface {
 	opExtraLines() []string
 }
 
+// opNoteNode is an optional opNode extension: lines about the state of
+// what the operator reads (a scan's in-memory store), shown by EXPLAIN
+// whether or not the plan ran.
+type opNoteNode interface {
+	opNotes() []string
+}
+
 // planEnv is shared by all operators of one plan: bind parameters plus
 // the positions of aggregate/window results within the row.
 type planEnv struct {
@@ -120,6 +127,25 @@ type BatchFilterSource interface {
 	// unsupported (the conjunct then stays a row-level residual). op is
 	// one of = != < <= > >= between.
 	CompileBatchFilter(col, op string, operands []jsondom.Value) (imc.BatchKernel, bool)
+	// Vector returns the column's populated vector: the planner tells a
+	// vector predicate from any other comparison by it and reads its
+	// population-time statistics, the code-space aggregation and join
+	// read codes from it. PopulatedColumns lists the columns that have
+	// one, sorted.
+	Vector(name string) (*imc.Vector, bool)
+	PopulatedColumns() []string
+}
+
+// MaintainedSource is an optional InMemorySource extension: a source
+// that stays consistent with its table under DML (imc.Store). The engine
+// subscribes it to the table's writes while it is attached, and a scan
+// reads one immutable image of it from Open to Close. (Any other source
+// is its owner's to keep in step with the table.)
+type MaintainedSource interface {
+	InMemorySource
+	Subscribe()
+	Unsubscribe()
+	Image() *imc.Image
 }
 
 // ---------------------------------------------------------------------------
@@ -166,20 +192,18 @@ type tableScan struct {
 	// virtual columns are not computed (left NULL).
 	needVC []bool
 	cols   []store.Column
-	sub    InMemorySource // IMC substitution, may be nil
-	// Vector predicates (§5.2.1), present exactly when bsrc is non-nil:
-	// batchKernels (constant predicates compiled at plan time; they close
-	// only over immutable vector data, so a cached plan shares them
-	// across executions and parallel workers) plus any vecSpecs
-	// (parameter-dependent predicates) that compile at Open with the
-	// execution's bind values fill a selection bitmap per imc.ChunkSize
-	// chunk, with zone-map-pruned chunks skipped whole. bsrc is the
-	// kernel compiler (the same object as sub); batchLabels name the
-	// plan-time kernels ("col op") for EXPLAIN ANALYZE.
-	vecSpecs     []vecFilterSpec
-	batchKernels []imc.BatchKernel
-	batchLabels  []string
-	bsrc         BatchFilterSource
+	// sub is the table's attached in-memory source, bound at plan time
+	// (may be nil); src is what this execution reads of it, bound at
+	// Open (bindSource): sub itself, or the image a MaintainedSource is
+	// in at that moment. A cached plan therefore binds the store, never a
+	// state of it: no write and no fold invalidates it.
+	sub, src InMemorySource
+	// vecSpecs are the WHERE conjuncts over vector-backed columns
+	// (§5.2.1). Open compiles each against src, with the execution's bind
+	// values, into a kernel that fills a selection bitmap per
+	// imc.ChunkSize chunk, zone-map-pruned chunks skipped whole; one that
+	// does not compile stays a row-level residual.
+	vecSpecs []vecFilterSpec
 	// rowIDsFn, when non-nil, resolves the scan's candidate row ids at
 	// Open, from live index state and the execution's binds — JSON
 	// search index postings (rowIDsVia "index") or the one row a
@@ -214,8 +238,8 @@ type tableScan struct {
 
 	// kernel iteration state (set up by Open): batchActive is true once
 	// at least one kernel is in play; batchRun is the execution's kernel
-	// list (plan-time + Open-compiled), sel the reusable per-chunk
-	// selection bitmap.
+	// list, runLabels names each ("col op") for EXPLAIN ANALYZE, sel is
+	// the reusable per-chunk selection bitmap.
 	batchActive bool
 	batchRun    []imc.BatchKernel
 	runLabels   []string
@@ -245,14 +269,24 @@ type tableScan struct {
 }
 
 // cloneForRange derives a worker scan restricted to [lo, hi). The
-// immutable plan state (schema, columns, IMC source, vector kernels)
-// is shared; all iteration state is fresh.
+// immutable plan state (schema, columns, vector predicates) is shared,
+// and the worker's in-memory source is the image s has bound: the whole
+// fleet reads the same one. All iteration state is fresh.
 func (s *tableScan) cloneForRange(lo, hi int) *tableScan {
 	return &tableScan{
 		tab: s.tab, alias: s.alias, sch: s.sch, needVC: s.needVC,
-		cols: s.cols, sub: s.sub, vecSpecs: s.vecSpecs, env: s.env,
-		batchKernels: s.batchKernels, batchLabels: s.batchLabels, bsrc: s.bsrc,
+		cols: s.cols, sub: s.src, vecSpecs: s.vecSpecs, env: s.env,
 		lo: lo, hi: hi,
+	}
+}
+
+// bindSource fixes what this execution reads of the attached in-memory
+// source: the image a maintained store is in now (a broken one answers
+// nothing, and the scan reads the table).
+func (s *tableScan) bindSource() {
+	s.src = s.sub
+	if ms, ok := s.sub.(MaintainedSource); ok {
+		s.src = ms.Image()
 	}
 }
 
@@ -267,7 +301,9 @@ type batchKernelStat struct {
 
 func (s *tableScan) Open(ec *ExecCtx) error {
 	s.st = ec.statFor()
+	// the table first: every row id it holds is then known to the image
 	s.rows, s.tombs = s.tab.Snapshot()
+	s.bindSource()
 	s.pos = s.lo
 	s.idPos = 0
 	s.ticks = 0
@@ -292,16 +328,16 @@ func (s *tableScan) Open(ec *ExecCtx) error {
 		}
 	}
 	s.batchRun, s.runLabels = nil, nil
-	if s.bsrc != nil {
-		s.batchRun = make([]imc.BatchKernel, 0, len(s.batchKernels)+len(s.vecSpecs))
-		s.batchRun = append(s.batchRun, s.batchKernels...)
-		s.runLabels = append(make([]string, 0, cap(s.batchRun)), s.batchLabels...)
+	if len(s.vecSpecs) > 0 {
+		bsrc, _ := s.src.(BatchFilterSource)
+		s.batchRun = make([]imc.BatchKernel, 0, len(s.vecSpecs))
+		s.runLabels = make([]string, 0, len(s.vecSpecs))
 		for i := range s.vecSpecs {
 			spec := &s.vecSpecs[i]
-			// with the bind values in hand the conjunct becomes a kernel;
-			// when the compile declines it stays a row-level residual
-			if vals, ok := spec.operandValues(s.env); ok {
-				if k, ok := s.bsrc.CompileBatchFilter(spec.col, spec.op, vals); ok {
+			// with the image and the bind values in hand the conjunct becomes
+			// a kernel; when the compile declines it stays a residual
+			if vals, ok := spec.operandValues(s.env); ok && bsrc != nil {
+				if k, ok := bsrc.CompileBatchFilter(spec.col, spec.op, vals); ok {
 					s.batchRun = append(s.batchRun, k)
 					s.runLabels = append(s.runLabels, spec.col+" "+spec.op)
 					continue
@@ -406,8 +442,8 @@ func (s *tableScan) materialize(rowID int, row store.Row) (out []jsondom.Value, 
 			}
 			continue
 		}
-		if s.sub != nil {
-			if v, ok := s.sub.Substitute(rowID, c.Name); ok {
+		if s.src != nil {
+			if v, ok := s.src.Substitute(rowID, c.Name); ok {
 				out[i] = v
 				continue
 			}
@@ -565,10 +601,22 @@ func (s *tableScan) opStat() *OpStats        { return s.st }
 // vecSuffix is the operator-name part describing the scan's vector
 // predicates (shared with ParallelScan's line).
 func (s *tableScan) vecSuffix() string {
-	if s.bsrc == nil {
+	if len(s.vecSpecs) == 0 {
 		return ""
 	}
-	return fmt.Sprintf(" batch vec-filters=%d", len(s.vecSpecs)+len(s.batchKernels))
+	return fmt.Sprintf(" batch vec-filters=%d", len(s.vecSpecs))
+}
+
+// opNotes reports, in EXPLAIN with or without ANALYZE, how far the
+// attached in-memory store stands in for the table as of now
+// (imc.Image.Status).
+func (s *tableScan) opNotes() []string {
+	if ms, ok := s.sub.(MaintainedSource); ok {
+		if status := ms.Image().Status(); status != "" {
+			return []string{status}
+		}
+	}
+	return nil
 }
 
 // opExtraLines reports, for EXPLAIN ANALYZE, a row-id access path that
@@ -585,12 +633,8 @@ func (s *tableScan) opExtraLines() []string {
 	lines := []string{fmt.Sprintf("vec-batch: chunks=%d pruned=%d selected=%d",
 		s.statChunks, s.statPruned, s.statSelRows)}
 	for ki, ks := range s.kernelStats {
-		label := "?"
-		if ki < len(s.runLabels) {
-			label = s.runLabels[ki]
-		}
 		lines = append(lines, fmt.Sprintf("vec[%s]: chunks=%d pruned=%d selectivity=%s",
-			label, ks.chunks, ks.pruned, pctOf(ks.out, ks.in)))
+			s.runLabels[ki], ks.chunks, ks.pruned, pctOf(ks.out, ks.in)))
 	}
 	return lines
 }

@@ -358,14 +358,12 @@ func (s *tableScan) creditSelected(n int64) {
 
 // vectorFor resolves a column reference of the scan's schema to its
 // populated IMC vector, the precondition for every code-space fast
-// path. The scan's in-memory source must expose vectors (imc.Store
-// does); a bare column name is required so the vector holds exactly
-// the column the scan would materialize.
+// path. The image the scan bound at Open declines while rows written
+// since the vector was built are pending (the consumer then takes its
+// generic path); a bare column name is required so the vector holds
+// exactly the column the scan would materialize.
 func (s *tableScan) vectorFor(c *ColRef) (*imc.Vector, bool) {
-	type vecSource interface {
-		Vector(name string) (*imc.Vector, bool)
-	}
-	vs, ok := s.sub.(vecSource)
+	vs, ok := s.src.(BatchFilterSource)
 	if !ok {
 		return nil, false
 	}

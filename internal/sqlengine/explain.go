@@ -89,6 +89,11 @@ func renderPlan(src rowSource, analyze bool) []string {
 			}
 		}
 		lines = append(lines, line)
+		if nn, ok := s.(opNoteNode); ok {
+			for _, note := range nn.opNotes() {
+				lines = append(lines, strings.Repeat("  ", depth+1)+note)
+			}
+		}
 		if analyze {
 			if xn, ok := s.(opExtraNode); ok {
 				for _, extra := range xn.opExtraLines() {

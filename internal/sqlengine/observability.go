@@ -215,12 +215,10 @@ func (e *Engine) runShowStats() (*Result, error) {
 				add(pfx+".ndv", ent.NDV())
 			}
 		}
-		if css, ok := e.imcSource(name).(ColumnStatsSource); ok {
-			for _, col := range css.PopulatedColumns() {
-				st, ok := css.ColumnStats(col)
-				if !ok {
-					continue
-				}
+		if bfs, ok := e.imcSource(name).(BatchFilterSource); ok {
+			for _, col := range bfs.PopulatedColumns() {
+				vec, _ := bfs.Vector(col)
+				st := vec.Stats()
 				pfx := "optimizer." + name + ".imc." + col
 				add(pfx+".rows", int64(st.Rows))
 				add(pfx+".nulls", int64(st.Nulls))

@@ -107,7 +107,7 @@ func (p *parallelScanOp) Schema() Schema { return p.template.Schema() }
 // and selection bitmaps line up with the vector's chunk grid.
 // Otherwise the table's default equal split.
 func scanPartitions(scan *tableScan, degree int) [][2]int {
-	if scan.bsrc == nil {
+	if len(scan.vecSpecs) == 0 {
 		return scan.tab.Partitions(degree)
 	}
 	n := scan.tab.MaxRowID()
@@ -141,6 +141,7 @@ func (p *parallelScanOp) Open(ec *ExecCtx) error {
 	if len(parts) == 0 {
 		return nil
 	}
+	p.template.bindSource() // one in-memory image for the whole fleet
 	mParScans.Inc()
 	mParWorkers.Add(int64(len(parts)))
 	p.chans = make([]chan parRow, len(parts))
@@ -319,6 +320,7 @@ func (p *parallelScanOp) opName() string {
 }
 func (p *parallelScanOp) opChildren() []rowSource { return nil }
 func (p *parallelScanOp) opStat() *OpStats        { return p.st }
+func (p *parallelScanOp) opNotes() []string       { return p.template.opNotes() }
 
 // opExtraLines aggregates the workers' batch chunk stats for EXPLAIN
 // ANALYZE. Safe only after Close: the workers have been joined, so
@@ -351,12 +353,8 @@ func (p *parallelScanOp) opExtraLines() []string {
 	}
 	lines := []string{fmt.Sprintf("vec-batch: chunks=%d pruned=%d selected=%d", chunks, pruned, selected)}
 	for i, ks := range kstats {
-		label := "?"
-		if i < len(labels) {
-			label = labels[i]
-		}
 		lines = append(lines, fmt.Sprintf("vec[%s]: chunks=%d pruned=%d selectivity=%s",
-			label, ks.chunks, ks.pruned, pctOf(ks.out, ks.in)))
+			labels[i], ks.chunks, ks.pruned, pctOf(ks.out, ks.in)))
 	}
 	return lines
 }

@@ -71,7 +71,6 @@ func (s *tableScan) clonePlan(env *planEnv) rowSource {
 		tab:          s.tab, alias: s.alias, sch: s.sch, needVC: s.needVC,
 		cols: s.cols, sub: s.sub, vecSpecs: s.vecSpecs,
 		rowIDsFn: s.rowIDsFn, rowIDsVia: s.rowIDsVia, rowIDsPred: s.rowIDsPred,
-		batchKernels: s.batchKernels, batchLabels: s.batchLabels, bsrc: s.bsrc,
 		lo: s.lo, hi: s.hi, samplePct: s.samplePct, env: env,
 	}
 }

@@ -673,24 +673,6 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 }
 
-func TestDMLDetachesIMC(t *testing.T) {
-	e := newPOEngine(t)
-	sub := &fakeIMC{col: "jdoc", vals: map[int]jsondom.Value{
-		0: jsondom.String(`{"stale":true}`),
-	}}
-	e.AttachIMC("po", sub)
-	r := mustExec(t, e, `select did from po where json_exists(jdoc, '$.stale')`)
-	if len(r.Rows) != 1 {
-		t.Fatalf("imc substitution inactive: %v", r.Rows)
-	}
-	mustExec(t, e, `delete from po where did = 3`)
-	// after DML the stale in-memory image is detached
-	r = mustExec(t, e, `select did from po where json_exists(jdoc, '$.stale')`)
-	if len(r.Rows) != 0 {
-		t.Fatalf("stale IMC still attached: %v", r.Rows)
-	}
-}
-
 func TestDeleteVisibilityInViewsAndIndexes(t *testing.T) {
 	e := newPOEngine(t)
 	mustExec(t, e, poDMDV)

@@ -4,7 +4,8 @@
 -- LIMIT budgets, the code-space hash join, string self-joins over live
 -- and tombstoned rows, and the vector-kernel scan ladder). Tables: t
 -- (2600 docs, rows 1024..2047 without "n": an all-null chunk), td (the
--- first 1100 docs of t with the 'w003' rows deleted; never IMC-backed),
+-- first 1100 docs of t with the 'w003' rows deleted, its store populated
+-- over the tombstones),
 -- orders/custs (600 x 50, NULL build keys on every 11th order,
 -- customers 37..49 unmatched). The digests were taken from the
 -- row-at-a-time, serial, no-vector reference before those operators
@@ -149,6 +150,21 @@ select a.did, b.did from td a join td b on a.vs = b.vs and b.did < 15 where a.di
 -- rows: 6
 -- sha256: a128c147e7d8d167c2c3ca68ea0122d1ba3ced1178edd3ea0f46a5f3bd374d76
 select a.vs, count(*) from td a join td b on a.vs = b.vs and b.did < 10 group by a.vs order by a.vs;
+
+-- case: self_join_tombstones_by_row_id
+-- rows: 2
+-- sha256: ff36c90b1a1afc6e5ca26fb42605f6d1e7ec93884b91e07305c0a05389a136b7
+select a.did, b.did from td a join td b on a.vs = b.vs where a.did < 1 and b.did between 1 and 14 order by a.did, b.did;
+
+-- case: scan_tombstones_vector_filter
+-- rows: 6
+-- sha256: 1efe4b057f3b1173f8fbd0aefe442cf947561f9e56179382906e0b93ef40b022
+select did, vn from td where vs = 'w004' and vn < 40 order by did;
+
+-- case: agg_tombstones_dict_key
+-- rows: 6
+-- sha256: 72bfd868601e6b1548a295eff215bd293ab7da72952b6a5c0dd0eb48fa7ebbc7
+select vs, count(*), min(vn), max(vn) from td group by vs order by vs;
 
 -- case: scan_eq_number
 -- rows: 1

@@ -81,6 +81,17 @@ type InsertObserver interface {
 	RowInserted(t *Table, rowID int, row Row) error
 }
 
+// WriteObserver is told of every committed write to a table, under the
+// table's write lock and in commit order: the in-memory store (§5.2)
+// subscribes to keep its columnar image consistent with the row store
+// while DML runs. row is the row now stored under rowID, nil when the
+// row was deleted; writes is the table's write count including this
+// write (Table.View reports the same count to a reader). RowWritten
+// must not call back into the table.
+type WriteObserver interface {
+	RowWritten(rowID int, row Row, writes uint64)
+}
+
 // Common errors.
 var (
 	ErrNoSuchColumn = errors.New("store: no such column")
@@ -107,6 +118,10 @@ type Table struct {
 	// calls equal may sit under different index entries (ProbePK).
 	pkLoose   bool
 	observers []InsertObserver
+	// writeObs is the one subscriber to committed writes (nil for a
+	// table without an in-memory store); writes counts them.
+	writeObs WriteObserver
+	writes   uint64
 
 	// tombstones marks deleted rows (row ids stay stable); live counts
 	// visible rows.
@@ -193,6 +208,34 @@ func (t *Table) AddObserver(o InsertObserver) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.observers = append(t.observers, o)
+}
+
+// Subscribe makes o the one subscriber to the table's committed writes
+// and returns the subscriber it displaced, nil when there was none.
+func (t *Table) Subscribe(o WriteObserver) (displaced WriteObserver) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	displaced, t.writeObs = t.writeObs, o
+	return displaced
+}
+
+// Unsubscribe ends o's subscription; it does nothing when o is not the
+// current subscriber.
+func (t *Table) Unsubscribe(o WriteObserver) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.writeObs == o {
+		t.writeObs = nil
+	}
+}
+
+// wrote counts one committed write and tells the subscriber. The
+// caller holds the write lock.
+func (t *Table) wrote(rowID int, row Row) {
+	t.writes++
+	if t.writeObs != nil {
+		t.writeObs.RowWritten(rowID, row, t.writes)
+	}
 }
 
 // Columns returns all columns (stored then virtual). The slice is a
@@ -283,6 +326,7 @@ func (t *Table) Insert(row Row) (int, error) {
 		}
 		return 0, obsErr
 	}
+	t.wrote(rid, row)
 	return rid, nil
 }
 
@@ -411,6 +455,7 @@ func (t *Table) Delete(rowID int) bool {
 		delete(t.pkIndex, keyString(t.rows[rowID][t.pkCol]))
 	}
 	t.redo = append(t.redo, 'D', byte(rowID), byte(rowID>>8), byte(rowID>>16), byte(rowID>>24))
+	t.wrote(rowID, nil)
 	return true
 }
 
@@ -445,6 +490,7 @@ func (t *Table) Update(rowID int, row Row) error {
 	}
 	t.rows[rowID] = row
 	t.appendRedo(rowID, row)
+	t.wrote(rowID, row)
 	return nil
 }
 
@@ -575,6 +621,17 @@ func (t *Table) Snapshot() ([]Row, []bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rows, t.tombstones
+}
+
+// View calls fn with every row id's stored row, the tombstones
+// (tombs[i] is true for a deleted row; the slice may be shorter than
+// rows) and the table's write count, holding the read lock throughout:
+// no write commits while fn runs, so what fn builds describes the table
+// as of exactly that write count. fn must not call back into the table.
+func (t *Table) View(fn func(rows []Row, tombs []bool, writes uint64)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	fn(t.rows, t.tombstones, t.writes)
 }
 
 // Partitions splits the row-id space [0, MaxRowID()) into at most k

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/jsondom"
@@ -267,6 +268,55 @@ func TestObservers(t *testing.T) {
 	}
 	if tab.NumRows() != 2 {
 		t.Fatalf("rollback failed: %d rows", tab.NumRows())
+	}
+}
+
+// writeLog records what a WriteObserver is told.
+type writeLog struct{ seen []string }
+
+func (w *writeLog) RowWritten(rowID int, row Row, writes uint64) {
+	w.seen = append(w.seen, fmt.Sprintf("%d:%v@%d", rowID, row != nil, writes))
+}
+
+// TestWriteObserver: the one subscriber hears of every committed write —
+// insert, update, delete — in order and with the table's write count,
+// and of nothing that did not commit.
+func TestWriteObserver(t *testing.T) {
+	tab := poTable(t)
+	reject := &recordingObserver{}
+	tab.AddObserver(reject)
+	tab.Insert(Row{jsondom.Number("1"), jsondom.String("{}")}) //nolint:errcheck
+	log := &writeLog{}
+	if old := tab.Subscribe(log); old != nil {
+		t.Fatalf("displaced %v from a table without a subscriber", old)
+	}
+	tab.Insert(Row{jsondom.Number("2"), jsondom.String("{}")}) //nolint:errcheck
+	reject.fail = true
+	tab.Insert(Row{jsondom.Number("3"), jsondom.String("{}")}) //nolint:errcheck
+	if err := tab.Update(7, Row{jsondom.Number("9"), jsondom.String("{}")}); err == nil {
+		t.Fatal("update of a missing row")
+	}
+	tab.Update(0, Row{jsondom.Number("1"), jsondom.String(`{"a":1}`)}) //nolint:errcheck
+	tab.Delete(1)
+	tab.Delete(1) // already gone: no write
+	want := "[1:true@2 0:true@3 1:false@4]"
+	if got := fmt.Sprint(log.seen); got != want {
+		t.Fatalf("subscriber was told %s, want %s", got, want)
+	}
+	tab.View(func(rows []Row, tombs []bool, writes uint64) {
+		if len(rows) != 2 || !tombs[1] || writes != 4 {
+			t.Fatalf("View: %d rows, tombstones %v, %d writes", len(rows), tombs, writes)
+		}
+	})
+	other := &writeLog{}
+	tab.Unsubscribe(other) // not the subscriber: no effect
+	if old := tab.Subscribe(other); old != WriteObserver(log) {
+		t.Fatalf("displaced %v, want the first subscriber", old)
+	}
+	tab.Unsubscribe(other)
+	tab.Delete(0)
+	if len(other.seen) != 0 || len(log.seen) != 3 {
+		t.Fatalf("after Unsubscribe: %v, %v", other.seen, log.seen)
 	}
 }
 
