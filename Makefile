@@ -88,7 +88,13 @@ bench-module:
 # plan-time kernel arm, the DML detach sites, the row-id bypass and the
 # ColumnStatsSource interface: 10,282 lines. The store's maintenance
 # itself lives in internal/imc.
-LOC_MAX := 10300
+# Join-side pushdown raised it to 10,450: the per-leaf WHERE split
+# of planner step 5 (planFrom, collectLeaves, conjunctOwner, planLeaf:
+# +94 net of the single-table branch it replaces and of viewPushdown's
+# nothing-pushed exits, +1 for its counter) and the code-space join
+# over a filtered input (fastSide: +50) are new mechanism with no
+# older path left to delete: 10,427 lines.
+LOC_MAX := 10450
 loc:
 	@n=$$(ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "sqlengine non-test lines: $$n (ratchet $(LOC_MAX))"; \

@@ -234,6 +234,7 @@ func newCorpusEngine(t *testing.T, mode string) *Engine {
 	mustExec(t, e, `alter table orders add virtual column vamt as json_value(jdoc, '$.amt' returning number)`)
 	mustExec(t, e, `alter table custs add virtual column vid as json_value(jdoc, '$.id' returning number)`)
 	mustExec(t, e, `alter table custs add virtual column vname as json_value(jdoc, '$.name')`)
+	mustExec(t, e, `create view ocv as select c.cid, c.vname, o.oid, o.vk, o.vamt from custs c join orders o on c.vid = o.vk`)
 	if mode == "oson-imc" {
 		attachIMC(t, e, "d", "vn", "vs", "vg", "vprice", "vcity")
 		attachIMC(t, e, "lk", "vk", "vw")

@@ -685,14 +685,16 @@ func (e *Engine) drainSource(ctx context.Context, src rowSource, names []string,
 }
 
 // selectLevel is what planning one query level shares between its FROM
-// items: the plan environment, the statistics context, and the column
+// items: the plan environment, the statistics context, the column
 // names the level references (virtual columns outside it are not
-// computed) with whether a star projection exposes all of them.
+// computed) with whether a star projection exposes all of them, and
+// the FROM tree's leaves (planFrom).
 type selectLevel struct {
 	env        *planEnv
 	cc         *costCtx
 	referenced map[string]bool
 	star       bool
+	leaves     []fromLeaf
 }
 
 // planSelectPushed plans a select with additional predicate conjuncts
@@ -729,59 +731,20 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 			mCostReorders.Inc()
 		}
 	}
-	whereOrig := where
 
 	// 4. referenced-column analysis for virtual-column pruning
 	lv.referenced, lv.star = collectReferenced(stmt, where)
 
-	// 5. FROM. A single table or view under a WHERE lets the predicate
-	// choose the access path (search-index postings or vector kernels,
-	// §5.2.1; pushdown into the view's own plan, §6.3); everything else
-	// is built item by item, with JSON_EXISTS prefilters on a trailing
-	// JSON_TABLE (§6.3).
-	var src rowSource
-	if tr := singleTable(stmt); tr != nil && where != nil && tr.SamplePct == 0 {
-		if scan := e.scanTable(tr, lv); scan != nil {
-			src, where = scan, e.chooseAccessPath(scan, where, lv.cc)
-		} else if inner, residual, err := e.viewPushdown(tr, where, env); err != nil {
-			return nil, nil, err
-		} else if inner != nil {
-			src, where = inner, residual
-		}
-	}
-	if src == nil {
-		var jtOp *jsonTableOp
-		for _, f := range stmt.From {
-			s, lateral, err := e.buildFrom(f, src, lv)
-			if err != nil {
-				return nil, nil, err
-			}
-			switch {
-			case lateral:
-				src = s // JSON_TABLE already composed with the left side
-				jtOp, _ = s.(*jsonTableOp)
-			case src == nil:
-				src = s
-			default:
-				src = newCrossJoin(src, s)
-				jtOp = nil
-			}
-		}
-		// WHERE conjuncts over the trailing JSON_TABLE's columns become
-		// path predicates evaluated on the document before expansion;
-		// the residual WHERE still applies, so this is purely an implied
-		// pre-filter
-		if jtOp != nil && where != nil && !e.Planner.DisablePrefilter {
-			attachPrefilters(jtOp, where)
-		}
-	}
-	if src == nil {
-		return nil, nil, fmt.Errorf("sql: empty FROM clause")
-	}
-	// stamp the scan's est-rows with base rows x consumed-conjunct
-	// selectivity while the pushed-down conjuncts are still in hand
-	if scan, ok := src.(*tableScan); ok {
-		lv.cc.setScanEstimate(scan, whereOrig, where)
+	// 5. FROM, with WHERE split across its inputs (planFrom): a conjunct
+	// that one table or view alone can answer moves to it — into the
+	// table's access path (primary key, search-index postings or vector
+	// kernels, §5.2.1) and a filter directly above its scan, or into the
+	// view's own plan (§6.3) — so a join is built over filtered inputs.
+	// What no input takes is the residual WHERE; on a trailing
+	// JSON_TABLE it also becomes JSON_EXISTS prefilters (§6.3).
+	src, where, err := e.planFrom(stmt.From, where, lv)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// 6. WHERE (residual after pushdown). A bare scan over a large
@@ -836,7 +799,6 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	// the rich analytic power of SQL"): every column reference of this
 	// query level must resolve against the plan schema
 	planned := src.Schema()
-	var err error
 	walkSelect(stmt, false, func(x Expr) bool {
 		if c, ok := x.(*ColRef); ok && err == nil {
 			_, err = planned.Resolve(c.Table, c.Name)
@@ -886,16 +848,6 @@ func (e *Engine) planSelectPushed(stmt *SelectStmt, env *planEnv, pushed []Expr)
 	lv.cc.annotateEstimates(src)
 
 	return src, names, nil
-}
-
-// singleTable returns the statement's FROM clause when it is exactly
-// one table (or view) reference, else nil.
-func singleTable(stmt *SelectStmt) *TableRef {
-	if len(stmt.From) != 1 {
-		return nil
-	}
-	tr, _ := stmt.From[0].(*TableRef)
-	return tr
 }
 
 // noAggOrWindow rejects an aggregate or window function in a clause
@@ -1254,26 +1206,19 @@ func substituteOutputCols(p Expr, stmt *SelectStmt) (Expr, error) {
 	return out, err
 }
 
-// viewPushdown handles `FROM <view> WHERE ...`: conjuncts that only
-// reference the view's output columns are pushed into the view's plan
-// (where the JSON_EXISTS prefilter and vector pushdowns can act on
-// them); the rest remain as the residual filter. A nil source means
-// nothing was pushed.
+// viewPushdown plans the view tr names under the WHERE conjuncts its
+// leaf took: those that only reference the view's output columns are
+// pushed into the view's plan (where the JSON_EXISTS prefilter and
+// vector pushdowns can act on them) unless that would cross an
+// aggregation, window or LIMIT; the rest are returned as the residual.
 func (e *Engine) viewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource, Expr, error) {
 	name, alias := tr.resolved()
-	vd, isView := e.view(name)
-	// filtering must not cross aggregation/window/limit boundaries
-	if !isView || len(vd.stmt.GroupBy) > 0 || vd.stmt.Limit >= 0 {
-		return nil, nil, nil
-	}
-	crosses := false
+	vd, _ := e.view(name)
+	crosses := len(vd.stmt.GroupBy) > 0 || vd.stmt.Limit >= 0
 	walkSelect(vd.stmt, false, func(x Expr) bool {
 		crosses = crosses || isAggregate(x) || isWindow(x)
 		return !crosses
 	})
-	if crosses {
-		return nil, nil, nil
-	}
 	viewCols := make(map[string]bool, len(vd.names))
 	for _, n := range vd.names {
 		viewCols[n] = true
@@ -1283,7 +1228,7 @@ func (e *Engine) viewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource
 	for _, c := range splitAnd(where) {
 		// only simple predicate shapes over the view's own columns are
 		// pushed; exotic expressions stay above the view
-		foreign := !pushableShape(c) || exprContains(c, func(x Expr) bool {
+		foreign := crosses || !pushableShape(c) || exprContains(c, func(x Expr) bool {
 			cr, ok := x.(*ColRef)
 			return ok && (cr.Table != "" && cr.Table != alias || !viewCols[cr.Name])
 		})
@@ -1295,9 +1240,6 @@ func (e *Engine) viewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource
 		}
 		residual = andExpr(residual, c)
 	}
-	if len(push) == 0 {
-		return nil, nil, nil
-	}
 	inner, _, err := e.planSelectPushed(vd.stmt, env, push)
 	if err != nil {
 		return nil, nil, err
@@ -1305,7 +1247,11 @@ func (e *Engine) viewPushdown(tr *TableRef, where Expr, env *planEnv) (rowSource
 	return newAliasWrap(inner, alias, vd.names), residual, nil
 }
 
-// pushableShape limits pushdown to deterministic scalar predicates.
+// pushableShape limits pushdown to deterministic scalar predicates that
+// cannot raise an error, so moving one below a join or into a view
+// never evaluates it on a row that would otherwise have failed it
+// silently: a comparison of incomparable values is NULL, while LIKE
+// over a non-string raises.
 func pushableShape(c Expr) bool {
 	switch t := c.(type) {
 	case *BinOp:
@@ -1330,39 +1276,179 @@ func pushableShape(c Expr) bool {
 		return pushableShape(t.X) && pushableShape(t.Lo) && pushableShape(t.Hi)
 	case *IsNullExpr:
 		return pushableShape(t.X)
-	case *LikeExpr:
-		return pushableShape(t.X) && pushableShape(t.Pattern)
 	}
 	return false
 }
 
-// buildFrom builds a row source for one FROM item. lateral=true means
-// the returned source already incorporates the accumulated left side.
-func (e *Engine) buildFrom(f FromItem, left rowSource, lv *selectLevel) (rowSource, bool, error) {
-	switch t := f.(type) {
-	case *TableRef:
-		if scan := e.scanTable(t, lv); scan != nil {
-			return scan, false, nil
+// fromLeaf is one input of a FROM tree as planFrom sees it: the FROM
+// item, the columns it exposes, whether WHERE conjuncts may move into
+// it (an unsampled table or view no LEFT join pads with NULLs), the
+// conjuncts it took, and a table's scan or a subquery's plan.
+type fromLeaf struct {
+	ref   FromItem
+	sch   Schema
+	takes bool
+	where Expr
+	src   rowSource
+}
+
+// planFrom builds the FROM clause with WHERE split across its leaves
+// and returns the conjuncts no leaf took. A conjunct goes to a leaf
+// when every column it references resolves on that leaf, none resolves
+// on another input, and it passes pushableShape, so nothing that can
+// raise an error runs on rows a join would have discarded. A lone leaf
+// has no join to move below: it takes the whole WHERE and hands its
+// residual back to step 6, where a parallel scan can absorb it.
+func (e *Engine) planFrom(from []FromItem, where Expr, lv *selectLevel) (rowSource, Expr, error) {
+	for _, f := range from {
+		if err := e.collectLeaves(f, true, lv); err != nil {
+			return nil, nil, err
 		}
-		name, alias := t.resolved()
-		vd, ok := e.view(name)
-		if !ok {
-			return nil, false, fmt.Errorf("sql: no such table or view %q", t.Name)
+	}
+	if tr, ok := from[0].(*TableRef); ok && len(lv.leaves) == 1 && lv.leaves[0].takes {
+		lv.leaves[0].where = where
+		return e.planLeaf(tr, lv)
+	}
+	var rest Expr
+	for _, c := range splitAnd(where) {
+		if lf := conjunctOwner(c, lv.leaves); lf != nil && pushableShape(c) {
+			lf.where = andExpr(lf.where, c)
+			mJoinSideConjuncts.Inc()
+			continue
 		}
-		if t.SamplePct > 0 {
-			return nil, false, fmt.Errorf("sql: SAMPLE is not supported on views")
-		}
-		inner, _, err := e.planSelectPushed(vd.stmt, lv.env, nil)
+		rest = andExpr(rest, c)
+	}
+	var src rowSource
+	var jtOp *jsonTableOp
+	for _, f := range from {
+		s, lateral, err := e.buildFrom(f, src, lv)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		return newAliasWrap(inner, alias, vd.names), false, nil
+		switch {
+		case lateral:
+			src = s // JSON_TABLE already composed with the left side
+			jtOp, _ = s.(*jsonTableOp)
+		case src == nil:
+			src = s
+		default:
+			src = newCrossJoin(src, s)
+			jtOp = nil
+		}
+	}
+	// WHERE conjuncts over the trailing JSON_TABLE's columns become path
+	// predicates evaluated on the document before expansion; the
+	// residual WHERE still applies, so this is purely an implied
+	// pre-filter
+	if jtOp != nil && rest != nil && !e.Planner.DisablePrefilter {
+		attachPrefilters(jtOp, rest)
+	}
+	return src, rest, nil
+}
+
+// collectLeaves appends the leaves of one FROM item to lv.leaves;
+// takes is false below a LEFT join's null-supplying side.
+func (e *Engine) collectLeaves(f FromItem, takes bool, lv *selectLevel) error {
+	lf := fromLeaf{ref: f}
+	switch t := f.(type) {
+	case *JoinRef:
+		if err := e.collectLeaves(t.Left, takes, lv); err != nil {
+			return err
+		}
+		return e.collectLeaves(t.Right, takes && !t.LeftOuter, lv)
+	case *TableRef:
+		name, alias := t.resolved()
+		lf.takes = takes && t.SamplePct == 0
+		if scan := e.scanTable(t, lv); scan != nil {
+			lf.src, lf.sch = scan, scan.sch
+		} else if vd, ok := e.view(name); ok {
+			for _, n := range vd.names {
+				lf.sch = append(lf.sch, ColMeta{Table: alias, Name: n})
+			}
+		} else {
+			return fmt.Errorf("sql: no such table or view %q", t.Name)
+		}
 	case *SubqueryRef:
 		inner, names, err := e.planSelectPushed(t.Query, lv.env, nil)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		return newAliasWrap(inner, t.Alias, names), false, nil
+		lf.src = newAliasWrap(inner, t.Alias, names)
+		lf.sch = lf.src.Schema()
+	case *JSONTableRef:
+		for _, n := range t.ColNames {
+			lf.sch = append(lf.sch, ColMeta{Table: t.Alias, Name: n})
+		}
+	}
+	lv.leaves = append(lv.leaves, lf)
+	return nil
+}
+
+// leaf returns the collected leaf of a FROM item.
+func (lv *selectLevel) leaf(f FromItem) *fromLeaf {
+	for i := range lv.leaves {
+		if lv.leaves[i].ref == f {
+			return &lv.leaves[i]
+		}
+	}
+	return nil
+}
+
+// conjunctOwner returns the leaf that may take c: the one on which
+// every column reference of c resolves, when no other leaf resolves any
+// of them; nil when there is none or it takes no conjuncts.
+func conjunctOwner(c Expr, leaves []fromLeaf) *fromLeaf {
+	var own *fromLeaf
+	for i := range leaves {
+		lf := &leaves[i]
+		n, total := resolveCount(lf.sch, c)
+		if n == 0 {
+			continue
+		}
+		if own != nil || n < total {
+			return nil
+		}
+		own = lf
+	}
+	if own == nil || !own.takes {
+		return nil
+	}
+	return own
+}
+
+// planLeaf builds a table or view leaf under the conjuncts it took and
+// returns what they left: on a table they choose the access path and
+// stamp the scan's estimate, on a view they go through viewPushdown.
+func (e *Engine) planLeaf(t *TableRef, lv *selectLevel) (rowSource, Expr, error) {
+	lf := lv.leaf(t)
+	if scan, ok := lf.src.(*tableScan); ok {
+		if lf.where == nil {
+			return scan, nil, nil
+		}
+		residual := e.chooseAccessPath(scan, lf.where, lv.cc)
+		lv.cc.setScanEstimate(scan, lf.where, residual)
+		return scan, residual, nil
+	}
+	if t.SamplePct > 0 {
+		return nil, nil, fmt.Errorf("sql: SAMPLE is not supported on views")
+	}
+	return e.viewPushdown(t, lf.where, lv.env)
+}
+
+// buildFrom builds a row source for one FROM item from its collected
+// leaves; a leaf's residual is filtered directly above it, below any
+// join. lateral=true means the returned source already incorporates
+// the accumulated left side.
+func (e *Engine) buildFrom(f FromItem, left rowSource, lv *selectLevel) (rowSource, bool, error) {
+	switch t := f.(type) {
+	case *TableRef:
+		src, residual, err := e.planLeaf(t, lv)
+		if err == nil && residual != nil {
+			src = &filterOp{in: src, pred: residual, env: lv.env}
+		}
+		return src, false, err
+	case *SubqueryRef:
+		return lv.leaf(t).src, false, nil
 	case *JSONTableRef:
 		return newJSONTableOp(left, t, lv.env), true, nil
 	case *JoinRef:
@@ -1425,15 +1511,23 @@ func (e *Engine) planJoin(l, r rowSource, t *JoinRef, lv *selectLevel) (rowSourc
 // resolves against the schema, and the expression references at least
 // one column (a constant is not a useful join key side).
 func resolvesOn(s Schema, e Expr) bool {
-	some, all := false, true
+	n, total := resolveCount(s, e)
+	return total > 0 && n == total
+}
+
+// resolveCount counts the column references in e, and those of them
+// that resolve against s.
+func resolveCount(s Schema, e Expr) (n, total int) {
 	walkExpr(e, func(x Expr) bool {
 		if c, ok := x.(*ColRef); ok {
-			_, err := s.Resolve(c.Table, c.Name)
-			some, all = true, all && err == nil
+			if _, err := s.Resolve(c.Table, c.Name); err == nil {
+				n++
+			}
+			total++
 		}
-		return all
+		return true
 	})
-	return some && all
+	return n, total
 }
 
 func splitAnd(e Expr) []Expr {

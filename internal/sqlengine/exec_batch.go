@@ -837,16 +837,16 @@ func (sp *aggFastSpec) result(st *fastAggState) jsondom.Value {
 // hash join: code-space build and probe
 
 // joinFast is the execution state of a code-space hash join: both
-// sides are id-capable scans whose single key columns are
-// vector-backed with directly comparable representations (two numeric
-// vectors, or two string vectors sharing one dictionary). The build
-// side stores materialized rows under uint64 keys; the probe side
-// materializes a left row only when it matches (or, under left-outer
-// semantics, misses).
+// sides are id-capable scans (each perhaps under the filter of the
+// WHERE conjuncts the planner pushed onto it) whose single key columns
+// are vector-backed with directly comparable representations (two
+// numeric vectors, or two string vectors sharing one dictionary). The
+// build side stores materialized rows under uint64 keys; an unfiltered
+// probe side materializes a left row only when it matches (or, under
+// left-outer semantics, misses).
 type joinFast struct {
 	h                 *hashJoin
-	lscan, rscan      *tableScan
-	lvec, rvec        *imc.Vector
+	l, r              fastSide
 	table             map[uint64][][]jsondom.Value
 	pending           [][]jsondom.Value
 	pi                int
@@ -855,37 +855,82 @@ type joinFast struct {
 	ticks             int
 }
 
+// fastSide is one input of a code-space join: the scan, its key
+// vector, and the filter above the scan, if any, whose predicate the
+// join evaluates on the row materialize builds.
+type fastSide struct {
+	scan *tableScan
+	filt *filterOp
+	vec  *imc.Vector
+}
+
+// newFastSide qualifies one join input: an id-capable scan, bare or
+// under a filter, whose key column is vector-backed.
+func newFastSide(src rowSource, key Expr) (fastSide, bool) {
+	f, _ := src.(*filterOp)
+	if f != nil {
+		src = f.in
+	}
+	scan, ok := src.(*tableScan)
+	col, okCol := key.(*ColRef)
+	if !ok || !okCol || !scan.idCapable() {
+		return fastSide{}, false
+	}
+	vec, ok := scan.vectorFor(col)
+	return fastSide{scan: scan, filt: f, vec: vec}, ok
+}
+
+// filter decides a row of a filtered side up front, materializing it
+// so that the filter sees, and reports, every row the scan selects; an
+// unfiltered side passes every row without building it.
+func (fs *fastSide) filter(id int) (row []jsondom.Value, ok bool, err error) {
+	if fs.filt == nil {
+		return nil, true, nil
+	}
+	if row, err = fs.row(id, nil); err != nil {
+		return nil, false, err
+	}
+	fs.filt.ctx.row = row
+	v, err := evalExpr(fs.filt.ctx, fs.filt.pred)
+	if err != nil || !truthy(v) {
+		return nil, false, err
+	}
+	if fs.filt.st != nil {
+		fs.filt.st.Rows++
+	}
+	return row, true, nil
+}
+
+// row returns the row filter built, or materializes it.
+func (fs *fastSide) row(id int, built []jsondom.Value) ([]jsondom.Value, error) {
+	if built != nil {
+		return built, nil
+	}
+	row, _, err := fs.scan.materialize(id, fs.scan.rows[id])
+	return row, err
+}
+
 // newJoinFast qualifies the join for code-space probing after both
 // inputs are open; nil means the plan shape does not qualify and the
 // generic path runs.
 func newJoinFast(h *hashJoin) *joinFast {
-	lscan, okL := h.left.(*tableScan)
-	rscan, okR := h.right.(*tableScan)
-	if !okL || !okR || !lscan.idCapable() || !rscan.idCapable() {
-		return nil
-	}
 	if len(h.leftKeys) != 1 || len(h.rightKeys) != 1 {
 		return nil
 	}
-	lcol, okL := h.leftKeys[0].(*ColRef)
-	rcol, okR := h.rightKeys[0].(*ColRef)
-	if !okL || !okR {
-		return nil
-	}
-	lvec, okL := lscan.vectorFor(lcol)
-	rvec, okR := rscan.vectorFor(rcol)
+	l, okL := newFastSide(h.left, h.leftKeys[0])
+	r, okR := newFastSide(h.right, h.rightKeys[0])
 	if !okL || !okR {
 		return nil
 	}
 	// the two representations must agree for uint64 keys to be
 	// comparable across sides
-	if lvec.IsNumber != rvec.IsNumber {
+	if l.vec.IsNumber != r.vec.IsNumber {
 		return nil
 	}
-	if !lvec.IsNumber && !lvec.SameDict(rvec) {
+	if !l.vec.IsNumber && !l.vec.SameDict(r.vec) {
 		return nil
 	}
-	return &joinFast{h: h, lscan: lscan, rscan: rscan, lvec: lvec, rvec: rvec}
+	return &joinFast{h: h, l: l, r: r}
 }
 
 // keyAt reads the join key for one row id in code space.
@@ -906,20 +951,23 @@ func (jf *joinFast) build(ec *ExecCtx) error {
 		if err := ec.tickErr(&jf.ticks); err != nil {
 			return err
 		}
-		id, more, err := jf.rscan.nextSelID(ec)
+		id, more, err := jf.r.scan.nextSelID(ec)
 		if err != nil {
 			return err
 		}
 		if !more {
 			break
 		}
-		jf.rscan.creditSelected(1)
-		key, okKey := keyAt(jf.rvec, id)
-		if !okKey {
+		jf.r.scan.creditSelected(1)
+		row, ok, err := jf.r.filter(id)
+		if err != nil {
+			return err
+		}
+		key, okKey := keyAt(jf.r.vec, id)
+		if !ok || !okKey {
 			continue
 		}
-		row, _, err := jf.rscan.materialize(id, jf.rscan.rows[id])
-		if err != nil {
+		if row, err = jf.r.row(id, row); err != nil {
 			return err
 		}
 		n := rowBytes(row) + 8
@@ -962,7 +1010,7 @@ func (jf *joinFast) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			}
 			return out, true, nil
 		}
-		id, more, err := jf.lscan.nextSelID(ec)
+		id, more, err := jf.l.scan.nextSelID(ec)
 		if err != nil {
 			return nil, false, err
 		}
@@ -972,20 +1020,26 @@ func (jf *joinFast) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			return nil, false, nil
 		}
 		jf.probed++
-		jf.lscan.creditSelected(1)
-		key, okKey := keyAt(jf.lvec, id)
+		jf.l.scan.creditSelected(1)
+		row, ok, err := jf.l.filter(id)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			continue
+		}
+		key, okKey := keyAt(jf.l.vec, id)
 		var matches [][]jsondom.Value
 		if okKey {
 			matches = jf.table[key]
 		}
+		if len(matches) == 0 && !h.leftOuter {
+			continue
+		}
+		if row, err = jf.l.row(id, row); err != nil {
+			return nil, false, err
+		}
 		if len(matches) == 0 {
-			if !h.leftOuter {
-				continue
-			}
-			row, _, err := jf.lscan.materialize(id, jf.lscan.rows[id])
-			if err != nil {
-				return nil, false, err
-			}
 			out := h.arena.alloc(len(row) + len(h.right.Schema()))
 			copy(out, row)
 			for i := len(row); i < len(out); i++ {
@@ -994,10 +1048,6 @@ func (jf *joinFast) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 			return out, true, nil
 		}
 		jf.probeHits++
-		row, _, err := jf.lscan.materialize(id, jf.lscan.rows[id])
-		if err != nil {
-			return nil, false, err
-		}
 		jf.leftRow = row
 		jf.pending, jf.pi = matches, 0
 	}
@@ -1006,7 +1056,7 @@ func (jf *joinFast) step(ec *ExecCtx) ([]jsondom.Value, bool, error) {
 // stat renders the fast join's EXPLAIN ANALYZE line.
 func (jf *joinFast) stat() string {
 	mode := "float-bits"
-	if !jf.lvec.IsNumber {
+	if !jf.l.vec.IsNumber {
 		mode = "dict-codes"
 	}
 	return fmt.Sprintf("dictprobe: key=%s build-keys=%d probe-hits=%d", mode, len(jf.table), jf.probeHits)

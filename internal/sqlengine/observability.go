@@ -96,10 +96,11 @@ var (
 // statistics actually changed a plan, and how often statistics drift
 // invalidated a cached one.
 var (
-	mCostReorders   = metrics.NewCounter("sql.planner.cost.conjunct_reorders", "WHERE clauses whose AND-conjuncts were reordered most-selective-first")
-	mCostBuildLeft  = metrics.NewCounter("sql.planner.cost.join_build_left", "hash joins built on the left (estimated smaller) input")
-	mCostIndexSkips = metrics.NewCounter("sql.planner.cost.index_skips", "index-postings scans demoted to vectorized scans by the selectivity crossover")
-	mCostStatsDrift = metrics.NewCounter("sql.planner.cost.stats_drift", "cached plans invalidated because base-table sizes drifted past a power-of-two bucket")
+	mCostReorders      = metrics.NewCounter("sql.planner.cost.conjunct_reorders", "WHERE clauses whose AND-conjuncts were reordered most-selective-first")
+	mCostBuildLeft     = metrics.NewCounter("sql.planner.cost.join_build_left", "hash joins built on the left (estimated smaller) input")
+	mCostIndexSkips    = metrics.NewCounter("sql.planner.cost.index_skips", "index-postings scans demoted to vectorized scans by the selectivity crossover")
+	mCostStatsDrift    = metrics.NewCounter("sql.planner.cost.stats_drift", "cached plans invalidated because base-table sizes drifted past a power-of-two bucket")
+	mJoinSideConjuncts = metrics.NewCounter("sql.planner.join_side_conjuncts", "WHERE conjuncts handed to one join input at plan time")
 )
 
 // slowQueryConfig is the installed slow-query log; nil means disabled.

@@ -5,6 +5,8 @@ package sqlengine
 // translatable shapes, and view predicate pushdown.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/imc"
@@ -171,5 +173,169 @@ func TestHasAggregateAndWindowHelpers(t *testing.T) {
 		if !hasWindow(it.Expr) {
 			t.Error("window not detected")
 		}
+	}
+}
+
+// newMasterDetailEngine loads a small master/detail pair — master 3
+// has no detail rows — and the master ⨝ detail view over it.
+func newMasterDetailEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := New()
+	mustExec(t, e, `create table m (did number primary key, req varchar2(20), total number, note varchar2(8))`)
+	mustExec(t, e, `create table l (po_did number, itemno number, partno varchar2(10), qty number, note varchar2(8))`)
+	for i := 0; i < 4; i++ {
+		mustExec(t, e, `insert into m values (?, ?, ?, 'm')`, jsondom.NumberFromInt(int64(i)),
+			jsondom.String([]string{"alice", "bob"}[i%2]), jsondom.NumberFromInt(int64(4*i)))
+	}
+	for i := 0; i < 9; i++ {
+		mustExec(t, e, `insert into l values (?, ?, ?, ?, 'l')`, jsondom.NumberFromInt(int64(i%3)),
+			jsondom.NumberFromInt(int64(i/3)), jsondom.String(fmt.Sprintf("p%d", i%4)), jsondom.NumberFromInt(int64(i)))
+	}
+	mustExec(t, e, `create view dmdv as select m.did, m.req, l.itemno, l.partno, l.qty
+		from m join l on m.did = l.po_did`)
+	return e
+}
+
+// planLines renders a statement's EXPLAIN as one string per line.
+func planLines(t *testing.T, e *Engine, sql string) []string {
+	t.Helper()
+	var lines []string
+	for _, row := range mustExec(t, e, `explain `+sql).Rows {
+		lines = append(lines, string(row[0].(jsondom.String)))
+	}
+	return lines
+}
+
+// under reports whether a line starting (after indentation) with op
+// lies in the subtree of the first line starting with parent.
+func under(lines []string, op, parent string) bool {
+	indent := func(s string) int { return len(s) - len(strings.TrimLeft(s, " ")) }
+	p := -1
+	for i, l := range lines {
+		trimmed := strings.TrimLeft(l, " ")
+		switch {
+		case p < 0:
+			if strings.HasPrefix(trimmed, parent) {
+				p = i
+			}
+		case indent(l) <= indent(lines[p]):
+			return false
+		case strings.HasPrefix(trimmed, op):
+			return true
+		}
+	}
+	return false
+}
+
+// TestJoinSidePushdown pins where step 5 puts each WHERE conjunct of a
+// join, and that moving it changes no result: each case's rows equal
+// those of the same query with the conjunct kept above the join (an
+// upper() or nvl() wrapper is not pushableShape).
+func TestJoinSidePushdown(t *testing.T) {
+	e := newMasterDetailEngine(t)
+	same := func(sql, kept string) {
+		t.Helper()
+		got, want := fmt.Sprint(mustExec(t, e, sql).Rows), fmt.Sprint(mustExec(t, e, kept).Rows)
+		if got != want {
+			t.Errorf("%s\n  got  %s\n  want %s", sql, got, want)
+		}
+	}
+
+	// a detail-only predicate on the view reaches the detail scan,
+	// below the view's join
+	q := `select did, itemno from dmdv where partno = 'p1'`
+	if lines := planLines(t, e, q); !under(lines, "Filter", "HashJoin") || !under(lines, "TableScan(l)", "Filter") {
+		t.Errorf("detail predicate not below the join:\n%s", strings.Join(lines, "\n"))
+	}
+	same(q, `select did, itemno from dmdv where upper(partno) = 'P1'`)
+
+	// LEFT join: a test of the null-supplying side stays above the join
+	q = `select m.did from m left join l on m.did = l.po_did where l.itemno is null`
+	if lines := planLines(t, e, q); !under(lines, "HashJoin", "Filter") {
+		t.Errorf("null-supplying-side predicate moved below the LEFT join:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := fmt.Sprint(mustExec(t, e, q).Rows); got != "[[3]]" {
+		t.Errorf("anti-join rows = %s, want [[3]]", got)
+	}
+	// ... while one on the preserved side moves below it
+	q = `select m.did, l.itemno from m left join l on m.did = l.po_did where m.req = 'bob'`
+	if lines := planLines(t, e, q); !under(lines, "Filter", "HashJoin") {
+		t.Errorf("preserved-side predicate not below the LEFT join:\n%s", strings.Join(lines, "\n"))
+	}
+	same(q, `select m.did, l.itemno from m left join l on m.did = l.po_did where upper(m.req) = 'BOB'`)
+
+	// a conjunct over both sides stays above the join
+	q = `select m.did, l.qty from m join l on m.did = l.po_did where m.total > l.qty`
+	if lines := planLines(t, e, q); !under(lines, "HashJoin", "Filter") {
+		t.Errorf("two-sided conjunct moved below the join:\n%s", strings.Join(lines, "\n"))
+	}
+
+	// LIKE raises over a non-string, so it stays above the join: here
+	// the join yields nothing and the predicate never runs
+	if r, err := e.Exec(`select m.did from m join l on m.did = l.po_did and l.qty < 0 where m.total like '1%'`); err != nil || len(r.Rows) != 0 {
+		t.Errorf("LIKE over a number moved below an empty join: rows %v, err %v", r, err)
+	}
+
+	// an unqualified column of both sides is still a compile-time error
+	if _, err := e.Exec(`select m.did from m join l on m.did = l.po_did where note = 'm'`); err == nil ||
+		!strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("ambiguous unqualified column: err = %v", err)
+	}
+
+	// three-way join: the conjunct reaches the innermost leaf
+	q = `select m.did, l.itemno, m2.req from m join l on m.did = l.po_did
+		join m m2 on m2.did = l.po_did where m.req = 'alice' and l.qty > 2`
+	lines := planLines(t, e, q)
+	inner := 0
+	for i, l := range lines {
+		if strings.Contains(l, "HashJoin") {
+			inner = i
+		}
+	}
+	if !under(lines[inner:], "Filter", "HashJoin") || under(lines, "HashJoin", "Filter") {
+		t.Errorf("conjuncts did not reach the innermost join's leaves:\n%s", strings.Join(lines, "\n"))
+	}
+	same(q, `select m.did, l.itemno, m2.req from m join l on m.did = l.po_did
+		join m m2 on m2.did = l.po_did where upper(m.req) = 'ALICE' and nvl(l.qty, 0) > 2`)
+}
+
+// TestJoinSidePushdownKernel is NOBENCH Q11's shape over an IMC table:
+// the range over a vector-backed column becomes a kernel on a's scan,
+// whose filtered estimate puts the hash build on a; the join's rows are
+// those of the plan that joins first and filters after.
+func TestJoinSidePushdownKernel(t *testing.T) {
+	e := New()
+	mustExec(t, e, `create table nb (did number, jdoc varchar2(0) check (jdoc is json))`)
+	const n = 600
+	for i := 0; i < n; i++ {
+		mustExec(t, e, `insert into nb values (?, ?)`, jsondom.NumberFromInt(int64(i)),
+			jsondom.String(fmt.Sprintf(`{"num":%d,"nested_obj":{"num":%d}}`, i, (i*7)%n)))
+	}
+	mustExec(t, e, `alter table nb add virtual column jdoc$num as json_value(jdoc, '$.num' returning number)`)
+	attachIMC(t, e, "nb", "jdoc$num")
+	q := `select count(*) from nb a join nb b
+		on json_value(a.jdoc, '$.nested_obj.num' returning number) = json_value(b.jdoc, '$.num' returning number)
+		where json_value(a.jdoc, '$.num' returning number) between 100 and 129`
+	before, _ := metricValue(t, mustExec(t, e, `show metrics`), "sql.planner.join_side_conjuncts")
+	plan := strings.Join(planLines(t, e, q), "\n")
+	after, _ := metricValue(t, mustExec(t, e, `show metrics`), "sql.planner.join_side_conjuncts")
+	if after != before+1 {
+		t.Errorf("sql.planner.join_side_conjuncts advanced %d -> %d, want +1", before, after)
+	}
+	if !strings.Contains(plan, "HashJoin build=left") || !strings.Contains(plan, "vec-filters=1") {
+		t.Errorf("want a kernel on a and the build on its side:\n%s", plan)
+	}
+	// the estimates EXPLAIN ANALYZE prints are the filtered ones
+	analyzed := explainPlan(t, e, `explain analyze `+q)
+	if !strings.Contains(analyzed, fmt.Sprintf("(est-rows=%d)", n)) || strings.Count(analyzed, fmt.Sprintf("(est-rows=%d)", n)) != 1 {
+		t.Errorf("only b's scan should estimate the whole table:\n%s", analyzed)
+	}
+	got := mustExec(t, e, q).Rows
+	e.Planner.DisableVectorFilter = true
+	want := mustExec(t, e, `select count(*) from nb a join nb b
+		on json_value(a.jdoc, '$.nested_obj.num' returning number) = json_value(b.jdoc, '$.num' returning number)
+		where nvl(json_value(a.jdoc, '$.num' returning number), 0) between 100 and 129`).Rows
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got) != "[[30]]" {
+		t.Errorf("rows = %v, want %v = [[30]]", got, want)
 	}
 }

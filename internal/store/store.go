@@ -127,11 +127,6 @@ type Table struct {
 	// visible rows.
 	tombstones []bool
 	live       int
-
-	// redo is an append-only change log: every committed insert is
-	// serialized into it, giving inserts the baseline write cost a
-	// durable engine pays before any constraint or index work.
-	redo []byte
 }
 
 // NewTable creates a table with the given stored columns.
@@ -306,7 +301,6 @@ func (t *Table) Insert(row Row) (int, error) {
 	rid := len(t.rows)
 	t.rows = append(t.rows, row)
 	t.live++
-	t.appendRedo(rid, row)
 	observers := t.observers
 	// Observers run outside the table lock (they read table metadata
 	// through locking accessors); failures roll the append back.
@@ -369,59 +363,6 @@ func checkValue(c *Column, v jsondom.Value) error {
 	return nil
 }
 
-// appendRedo serializes one insert into the redo log.
-func (t *Table) appendRedo(rid int, row Row) {
-	var hdr [8]byte
-	hdr[0] = byte(rid)
-	hdr[1] = byte(rid >> 8)
-	hdr[2] = byte(rid >> 16)
-	hdr[3] = byte(rid >> 24)
-	hdr[4] = byte(len(row))
-	t.redo = append(t.redo, hdr[:]...)
-	for _, v := range row {
-		t.redo = appendDatum(t.redo, v)
-	}
-}
-
-// appendDatum writes a tagged, length-prefixed datum.
-func appendDatum(buf []byte, v jsondom.Value) []byte {
-	var payload []byte
-	var tag byte
-	switch d := v.(type) {
-	case jsondom.Null:
-		tag = 'N'
-	case jsondom.Bool:
-		tag = 'b'
-		if d {
-			payload = []byte{1}
-		} else {
-			payload = []byte{0}
-		}
-	case jsondom.Number:
-		tag = 'n'
-		payload = []byte(d)
-	case jsondom.String:
-		tag = 's'
-		payload = []byte(d)
-	case jsondom.Binary:
-		tag = 'r'
-		payload = d
-	default:
-		tag = 'j'
-		payload = jsontext.Serialize(v)
-	}
-	n := len(payload)
-	buf = append(buf, tag, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	return append(buf, payload...)
-}
-
-// RedoBytes returns the size of the accumulated redo log.
-func (t *Table) RedoBytes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.redo)
-}
-
 // Get returns the stored row with the given id; deleted rows are not
 // visible.
 func (t *Table) Get(rowID int) (Row, bool) {
@@ -454,7 +395,6 @@ func (t *Table) Delete(rowID int) bool {
 	if t.pkCol >= 0 {
 		delete(t.pkIndex, keyString(t.rows[rowID][t.pkCol]))
 	}
-	t.redo = append(t.redo, 'D', byte(rowID), byte(rowID>>8), byte(rowID>>16), byte(rowID>>24))
 	t.wrote(rowID, nil)
 	return true
 }
@@ -489,7 +429,6 @@ func (t *Table) Update(rowID int, row Row) error {
 		}
 	}
 	t.rows[rowID] = row
-	t.appendRedo(rowID, row)
 	t.wrote(rowID, row)
 	return nil
 }
