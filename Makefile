@@ -94,7 +94,10 @@ bench-module:
 # nothing-pushed exits, +1 for its counter) and the code-space join
 # over a filtered input (fastSide: +50) are new mechanism with no
 # older path left to delete: 10,427 lines.
-LOC_MAX := 10450
+# One write-subscriber list lowered it again: the search index
+# backfills and subscribes itself (searchindex.Index.Subscribe), and
+# restrictIDs gave way to searchindex.Intersect: 10,403 lines.
+LOC_MAX := 10425
 loc:
 	@n=$$(ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "sqlengine non-test lines: $$n (ratchet $(LOC_MAX))"; \

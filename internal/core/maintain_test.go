@@ -244,14 +244,43 @@ func TestSelectSeesRowsWrittenAfterPopulation(t *testing.T) {
 // and a projection out of the OSON documents while one goroutine puts
 // documents across several folds. Every read sees one consistent image:
 // a count never goes back, never passes what has been put, and a
-// document is either absent or whole. Under -race this is also the
-// check that a writer never touches what a running scan holds.
+// document is either absent or whole. One more reader counts the
+// documents through the search index, which hears of each put under the
+// same table lock as the store: that count never goes back either, nor
+// passes what has been put. Under -race this is also the check that a
+// writer never touches what a running scan holds.
 func TestStoreMaintenanceConcurrent(t *testing.T) {
 	db, col := newMaintDB(t, true)
+	if err := col.EnableSearchIndex(false); err != nil {
+		t.Fatal(err)
+	}
+	const indexedSQL = `select count(*) from docs where json_exists(jdoc, '$.pad')`
+	if plan := planOf(t, db, `explain `+indexedSQL); !strings.Contains(plan, "via-index") {
+		t.Fatalf("the count does not read the search index:\n%s", plan)
+	}
 	const puts, readers = 900, 4 // the fold threshold is 256 pending rows
 	var put atomic.Int64
 	var wg sync.WaitGroup
-	errs := make(chan error, readers+1)
+	errs := make(chan error, readers+2)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := int64(0)
+		for put.Load() < puts {
+			res, err := db.Query(indexedSQL)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ceiling := put.Load() + 1
+			n, _ := res.Rows[0][0].(jsondom.Number).Int64()
+			if n -= maintDocs; n < last || n > ceiling {
+				errs <- fmt.Errorf("the search index counted %d put documents after %d, with at most %d put", n, last, ceiling)
+				return
+			}
+			last = n
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -306,6 +335,9 @@ func TestStoreMaintenanceConcurrent(t *testing.T) {
 	}
 	if got := fmt.Sprint(mustRows(db, maintCountSQL+`'hot'`)); got != fmt.Sprintf("[[%d]]", puts) {
 		t.Fatalf("after %d puts the store counts %s", puts, got)
+	}
+	if got := fmt.Sprint(mustRows(db, indexedSQL)); got != fmt.Sprintf("[[%d]]", maintDocs+puts) {
+		t.Fatalf("after %d puts the search index counts %s", puts, got)
 	}
 	if plan := planOf(t, db, `explain `+maintCountSQL+`'hot'`); !strings.Contains(plan, "vec-filters=1") || strings.Contains(plan, "no-imc") {
 		t.Fatalf("the store did not survive the concurrent puts:\n%s", plan)

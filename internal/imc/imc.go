@@ -234,12 +234,10 @@ func (s *Store) publish(cur, next *Image) {
 // it was populated, or between two of its populations — cannot be
 // brought up to date from the writes to come: it is marked broken, with
 // the reason, and scans read the table itself until it is populated
-// again.
+// again. The check and the subscription happen under one table lock, so
+// no write falls between them.
 func (s *Store) Subscribe() {
-	if prev, ok := s.tab.Subscribe(s).(*Store); ok && prev != s {
-		prev.unsubscribed("another store was attached to the table")
-	}
-	s.tab.View(func(_ []store.Row, _ []bool, writes uint64) {
+	s.tab.Subscribe(s, func(_ []store.Row, _ []bool, writes uint64) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		cur := s.img.Load()
@@ -257,22 +255,11 @@ func (s *Store) Subscribe() {
 // is detached. The image stays readable as it is.
 func (s *Store) Unsubscribe() {
 	s.tab.Unsubscribe(s)
-	s.unsubscribed("")
-}
-
-// unsubscribed records that the table no longer tells the store of its
-// writes; a non-empty reason also marks the image broken (the store is
-// still attached somewhere and must stop answering).
-func (s *Store) unsubscribed(reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.img.Load()
 	if s.subscribed {
 		s.subscribed = false
-		gDeltaRows.Add(-int64(cur.delta.count()))
-	}
-	if reason != "" {
-		s.publish(cur, brokenImage(reason))
+		gDeltaRows.Add(-int64(s.img.Load().delta.count()))
 	}
 }
 
@@ -282,17 +269,13 @@ func (s *Store) unsubscribed(reason string) {
 // publishes an image that serves it in place of what the vectors hold
 // for the row id. Past foldThreshold pending rows the new image is a
 // folded one. It runs under the table's write lock, so images follow
-// each other in commit order.
-func (s *Store) RowWritten(rowID int, row store.Row, writes uint64) {
+// each other in commit order; a row that cannot be maintained marks the
+// store broken instead of failing the write.
+func (s *Store) RowWritten(rowID int, _, row store.Row, writes uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.img.Load()
 	if !cur.populated() || cur.broken != "" {
-		return
-	}
-	if cur.skewed || cur.writes+1 != writes {
-		// a write between Table.Subscribe and Subscribe's own check
-		s.publish(cur, brokenImage(fmt.Sprintf("populated at write %d of the table, told of write %d", cur.writes, writes)))
 		return
 	}
 	next, err := cur.written(rowID, row, writes)
@@ -313,25 +296,6 @@ func (s *Store) Substitute(rowID int, col string) (jsondom.Value, bool) {
 // image (Image.CompileBatchFilter).
 func (s *Store) CompileBatchFilter(col, op string, operands []jsondom.Value) (BatchKernel, bool) {
 	return s.img.Load().CompileBatchFilter(col, op, operands)
-}
-
-// Partitions splits the populated row range [0, len(osonDocs)) into at
-// most k contiguous [lo, hi) ranges for parallel consumers, mirroring
-// store.Table.Partitions.
-func (s *Store) Partitions(k int) [][2]int {
-	n := len(s.img.Load().osonDocs)
-	if k < 1 {
-		k = 1
-	}
-	var parts [][2]int
-	for i := 0; i < k; i++ {
-		lo := i * n / k
-		hi := (i + 1) * n / k
-		if hi > lo {
-			parts = append(parts, [2]int{lo, hi})
-		}
-	}
-	return parts
 }
 
 func numericOperand(v jsondom.Value) (float64, bool) {

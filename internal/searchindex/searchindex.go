@@ -1,18 +1,24 @@
 // Package searchindex implements the schema-agnostic JSON search index
 // of §3.2: an inverted index over every JSON field-name path and every
-// leaf scalar value (strings tokenized into keywords), maintained
-// incrementally as documents are inserted.
+// leaf scalar value (strings tokenized into keywords). It subscribes to
+// its table's writes (Index.Subscribe) and follows each insert, update
+// and delete under the table's write lock, so its postings always
+// describe the documents the table holds.
 //
 // The index hosts the *persistent JSON DataGuide*: its maintenance is
-// folded into document insertion, and in the common case where a new
-// document introduces no new paths the DataGuide module is not touched
-// beyond the in-memory structural check (§3.2.1). The $DG rows the
-// paper stores relationally are exposed via Guide().Entries().
+// folded into DML, and in the DataGuide-only mode, where a document of
+// a structure seen before is common, such a document does not touch
+// the DataGuide module beyond the structural check (§3.2.1). The
+// DataGuide only ever grows (§3.4). The $DG rows the paper stores
+// relationally are exposed via Guide().Entries().
 package searchindex
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataguide"
@@ -29,6 +35,8 @@ type Index struct {
 	Column    string
 
 	mu sync.RWMutex
+	// The postings map each term to the ids of the documents holding
+	// it, ascending.
 	// pathPostings: field-name path -> doc ids containing that path.
 	pathPostings map[string][]int
 	// keywordPostings: token -> doc ids containing the keyword in any
@@ -53,6 +61,14 @@ type Index struct {
 	dgRows []DGRow
 
 	docCount int
+
+	// tab is the table the index subscribes to and pos the position of
+	// Column in its stored rows (Subscribe).
+	tab *store.Table
+	pos int
+	// stale is set, and never cleared, once a written document could
+	// not be read: the postings may no longer describe the table.
+	stale atomic.Bool
 }
 
 // DGRow is one row of the $DG table (Tables 2, 4, 6).
@@ -108,40 +124,101 @@ func (ix *Index) DGTable() []DGRow {
 	return append([]DGRow(nil), ix.dgRows...)
 }
 
-// DocCount returns the number of indexed documents.
+// DocCount returns the number of documents the index holds: a deleted
+// or overwritten document no longer counts.
 func (ix *Index) DocCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.docCount
 }
 
-// RowInserted implements store.InsertObserver: it parses the JSON
-// column value and maintains the inverted lists and the DataGuide.
-func (ix *Index) RowInserted(t *store.Table, rowID int, row store.Row) error {
-	pos, ok := t.ColumnPos(ix.Column)
-	if !ok {
-		return fmt.Errorf("searchindex: column %s missing from table %s", ix.Column, t.Name)
+// Stale reports whether some written document could not be read, so
+// that the postings may miss or keep a document they should not.
+func (ix *Index) Stale() bool { return ix.stale.Load() }
+
+// Subscribe indexes every row t holds and subscribes the index to t's
+// writes, under one lock of the table (store.Table.Subscribe), so no
+// write falls between the two. Column must be a stored column of t
+// with an IS JSON check: every value the index reads has then passed
+// jsontext.Valid.
+func (ix *Index) Subscribe(t *store.Table) error {
+	c, ok := t.Column(ix.Column)
+	pos, _ := t.ColumnPos(ix.Column)
+	if !ok || c.Virtual || !c.CheckJSON {
+		return fmt.Errorf("searchindex: %s.%s is not a stored column with an IS JSON check", t.Name, ix.Column)
 	}
-	v := row[pos]
-	if v.Kind() == jsondom.KindNull {
-		return nil
+	ix.tab, ix.pos = t, pos
+	t.Subscribe(ix, func(rows []store.Row, tombs []bool, writes uint64) {
+		for rid, row := range rows {
+			if rid >= len(tombs) || !tombs[rid] {
+				ix.RowWritten(rid, nil, row, writes)
+			}
+		}
+	})
+	return nil
+}
+
+// Unsubscribe ends the subscription Subscribe started.
+func (ix *Index) Unsubscribe() { ix.tab.Unsubscribe(ix) }
+
+// RowWritten implements store.WriteObserver: an insert adds the
+// document's postings, an update replaces the old document's postings
+// with the new one's, a delete removes them; the DataGuide merges every
+// new document and forgets none. A NULL document has no postings. A
+// document that cannot be read marks the index stale instead of
+// failing the write.
+func (ix *Index) RowWritten(rowID int, old, row store.Row, _ uint64) {
+	var err error
+	if old != nil && old[ix.pos].Kind() != jsondom.KindNull {
+		err = ix.remove(rowID, old[ix.pos])
 	}
-	if !ix.postings {
+	if row != nil && row[ix.pos].Kind() != jsondom.KindNull {
+		err = errors.Join(err, ix.add(rowID, row[ix.pos]))
+	}
+	if err != nil {
+		ix.stale.Store(true)
+	}
+}
+
+// add indexes one stored document.
+func (ix *Index) add(docID int, v jsondom.Value) error {
+	if s, ok := v.(jsondom.String); ok && !ix.postings {
 		// DataGuide-only maintenance streams the text through the
 		// event-driven structural analysis (§3.2.1) — no DOM is built
-		if s, ok := v.(jsondom.String); ok {
-			return ix.addTextDataGuideOnly([]byte(s))
+		return ix.addTextDataGuideOnly([]byte(s))
+	}
+	dom, err := parse(v)
+	if err != nil {
+		return err
+	}
+	return ix.AddDocument(docID, dom)
+}
+
+// remove takes one stored document out of the postings and the count.
+func (ix *Index) remove(docID int, v jsondom.Value) error {
+	var dom jsondom.Value
+	if ix.postings {
+		var err error
+		if dom, err = parse(v); err != nil {
+			return err
 		}
 	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.docCount--
+	if dom != nil {
+		ix.post(dom, "$", docID, false)
+	}
+	return nil
+}
+
+// parse returns the DOM of a stored document.
+func parse(v jsondom.Value) (jsondom.Value, error) {
 	doc, err := sqljson.FromDatum(v)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dom, err := doc.DOM()
-	if err != nil {
-		return err
-	}
-	return ix.AddDocument(rowID, dom)
+	return doc.DOM()
 }
 
 func (ix *Index) addTextDataGuideOnly(text []byte) error {
@@ -165,13 +242,8 @@ func (ix *Index) addTextDataGuideOnly(text []byte) error {
 	if err != nil {
 		return err
 	}
-	mDGDocs.Inc()
-	mDGLatency.Observe(int64(time.Since(t0)))
 	ix.fpEntries[fp] = touched
-	for _, e := range added {
-		ix.dgRows = append(ix.dgRows, DGRow{Path: e.Path, Type: e.TypeString()})
-	}
-	mDGPaths.Add(int64(len(added)))
+	ix.merged(t0, added)
 	return nil
 }
 
@@ -181,27 +253,19 @@ func (ix *Index) AddDocument(docID int, dom jsondom.Value) error {
 	defer ix.mu.Unlock()
 	ix.docCount++
 	mDocsIndexed.Inc()
-	if !ix.postings {
-		if ix.dataGuide {
-			ix.mergeGuide(dom)
-		}
-		return nil
+	if ix.postings {
+		ix.post(dom, "$", docID, true)
 	}
-	seenPaths := make(map[string]bool)
-	seenKw := make(map[string]bool)
-	seenVal := make(map[string]bool)
-	indexNode(dom, "$", docID, ix, seenPaths, seenKw, seenVal)
 	if ix.dataGuide {
-		ix.mergeGuide(dom)
+		t0 := time.Now()
+		ix.merged(t0, ix.guide.Add(dom))
 	}
 	return nil
 }
 
-// mergeGuide runs one timed DataGuide merge and appends the discovered
-// $DG rows. Caller holds ix.mu.
-func (ix *Index) mergeGuide(dom jsondom.Value) {
-	t0 := time.Now()
-	added := ix.guide.Add(dom)
+// merged accounts one DataGuide merge begun at t0 and appends the $DG
+// rows it discovered. Caller holds ix.mu.
+func (ix *Index) merged(t0 time.Time, added []*dataguide.Entry) {
 	mDGDocs.Inc()
 	mDGLatency.Observe(int64(time.Since(t0)))
 	for _, e := range added {
@@ -210,43 +274,53 @@ func (ix *Index) mergeGuide(dom jsondom.Value) {
 	mDGPaths.Add(int64(len(added)))
 }
 
-func indexNode(v jsondom.Value, path string, docID int, ix *Index, seenPaths, seenKw, seenVal map[string]bool) {
+// post adds docID to (add) or removes it from the postings of every
+// term of the document v, found under path: each field-name path, each
+// keyword of a string leaf, each path=value of a scalar leaf. Caller
+// holds ix.mu.
+func (ix *Index) post(v jsondom.Value, path string, docID int, add bool) {
 	switch t := v.(type) {
 	case *jsondom.Object:
 		for _, f := range t.Fields() {
 			childPath := path + "." + f.Name
-			if !seenPaths[childPath] {
-				seenPaths[childPath] = true
-				ix.pathPostings[childPath] = append(ix.pathPostings[childPath], docID)
-			}
-			indexNode(f.Value, childPath, docID, ix, seenPaths, seenKw, seenVal)
+			posting(ix.pathPostings, childPath, docID, add)
+			ix.post(f.Value, childPath, docID, add)
 		}
 	case *jsondom.Array:
 		for _, e := range t.Elems {
-			indexNode(e, path, docID, ix, seenPaths, seenKw, seenVal)
+			ix.post(e, path, docID, add)
 		}
 	case jsondom.String:
 		for _, tok := range sqljson.Tokenize(string(t)) {
-			if !seenKw[tok] {
-				seenKw[tok] = true
-				ix.keywordPostings[tok] = append(ix.keywordPostings[tok], docID)
-			}
+			posting(ix.keywordPostings, tok, docID, add)
 		}
-		ix.recordValue(path, v, docID, seenVal)
+		posting(ix.valuePostings, path+"="+jsontext.SerializeString(v), docID, add)
 	default:
 		if v.Kind().IsScalar() {
-			ix.recordValue(path, v, docID, seenVal)
+			posting(ix.valuePostings, path+"="+jsontext.SerializeString(v), docID, add)
 		}
 	}
 }
 
-func (ix *Index) recordValue(path string, v jsondom.Value, docID int, seenVal map[string]bool) {
-	key := path + "=" + jsontext.SerializeString(v)
-	if seenVal[key] {
+// posting adds id to or removes it from the ascending list m[key]; a
+// term met twice in one document is posted once. Ids of inserted rows
+// only grow, so an insert appends; an update searches.
+func posting(m map[string][]int, key string, id int, add bool) {
+	ids := m[key]
+	n := len(ids)
+	if add && (n == 0 || ids[n-1] < id) {
+		m[key] = append(ids, id)
 		return
 	}
-	seenVal[key] = true
-	ix.valuePostings[key] = append(ix.valuePostings[key], docID)
+	i, found := slices.BinarySearch(ids, id)
+	switch {
+	case add && !found:
+		m[key] = slices.Insert(ids, i, id)
+	case !add && found && n == 1:
+		delete(m, key)
+	case !add && found:
+		m[key] = slices.Delete(ids, i, i+1)
+	}
 }
 
 // DocsWithPath returns the ids of documents containing the field-name
@@ -269,7 +343,7 @@ func (ix *Index) DocsWithKeyword(keyword string) []int {
 	// conjunction over the keyword's tokens
 	result := append([]int(nil), ix.keywordPostings[toks[0]]...)
 	for _, tok := range toks[1:] {
-		result = intersect(result, ix.keywordPostings[tok])
+		result = Intersect(result, ix.keywordPostings[tok])
 	}
 	return result
 }
@@ -290,15 +364,18 @@ func (ix *Index) DistinctPathCount() int {
 	return len(ix.pathPostings)
 }
 
-func intersect(a, b []int) []int {
-	set := make(map[int]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
+// Intersect returns the ids both ascending id lists hold, ascending.
+func Intersect(a, b []int) []int {
 	var out []int
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package searchindex
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/jsondom"
@@ -111,30 +112,78 @@ func TestDataGuideMaintenance(t *testing.T) {
 	}
 }
 
-func TestRowInsertedObserver(t *testing.T) {
-	tab := store.MustNewTable("po",
+func poTable() *store.Table {
+	return store.MustNewTable("po",
 		store.Column{Name: "did", Type: store.TypeNumber},
 		store.Column{Name: "jdoc", Type: store.TypeVarchar, CheckJSON: true},
+		store.Column{Name: "note", Type: store.TypeVarchar},
 	)
+}
+
+// TestSubscriber: the index takes the rows the table holds when it
+// subscribes and follows every write after — an update moves the row's
+// postings, a delete drops them, the DataGuide keeps what it learned —
+// until it unsubscribes.
+func TestSubscriber(t *testing.T) {
+	tab := poTable()
+	row := func(id int, doc string) store.Row {
+		v := jsondom.Value(jsondom.Null{})
+		if doc != "" {
+			v = jsondom.String(doc)
+		}
+		return store.Row{jsondom.NumberFromInt(int64(id)), v, jsondom.Null{}}
+	}
+	tab.Insert(row(0, docs[0])) //nolint:errcheck
+	tab.Insert(row(1, ""))      //nolint:errcheck // NULL documents have no postings
+	tab.Insert(row(2, docs[1])) //nolint:errcheck
+	tab.Delete(2)
+	for _, col := range []string{"note", "missing"} {
+		if err := New("bad", "po", col, false).Subscribe(tab); err == nil {
+			t.Fatalf("an index subscribed to column %s, which has no IS JSON check", col)
+		}
+	}
 	ix := New("sx", "po", "jdoc", true)
-	tab.AddObserver(ix)
-	if _, err := tab.Insert(store.Row{jsondom.Number("1"), jsondom.String(docs[0])}); err != nil {
+	if err := ix.Subscribe(tab); err != nil {
 		t.Fatal(err)
 	}
-	if ix.DocCount() != 1 {
-		t.Fatalf("indexed docs = %d", ix.DocCount())
+	foreign := "$.purchaseOrder.foreign_id"
+	postings := func() string {
+		return fmt.Sprint(ix.DocCount(), ix.DocsWithPath(foreign), ix.DocsWithKeyword("phone"), ix.DocsWithValue("$.purchaseOrder.id", jsondom.Number("2")))
 	}
-	// NULL documents are skipped
-	if _, err := tab.Insert(store.Row{jsondom.Number("2"), jsondom.Null{}}); err != nil {
+	if got := postings(); got != "1 [] [0] []" {
+		t.Fatalf("after the backfill: %s", got)
+	}
+	tab.Insert(row(3, docs[0]))       //nolint:errcheck
+	tab.Insert(row(4, docs[1]))       //nolint:errcheck
+	tab.Update(0, row(0, docs[1]))    //nolint:errcheck
+	tab.Update(1, row(1, docs[0]))    //nolint:errcheck
+	tab.Update(4, row(4, `{"a":[]}`)) //nolint:errcheck
+	if got := postings(); got != "4 [0] [1 3] [0]" {
+		t.Fatalf("after inserts and updates: %s", got)
+	}
+	tab.Delete(0)
+	tab.Update(3, row(3, "")) //nolint:errcheck
+	if got := postings(); got != "2 [] [1] []" {
+		t.Fatalf("after a delete and an update to NULL: %s", got)
+	}
+	if _, ok := ix.Guide().Lookup(foreign, 2); !ok || ix.Stale() {
+		t.Fatalf("the DataGuide forgot %s, or the index went stale (%v)", foreign, ix.Stale())
+	}
+	ix.Unsubscribe()
+	tab.Insert(row(5, docs[0])) //nolint:errcheck
+	if got := postings(); got != "2 [] [1] []" {
+		t.Fatalf("after Unsubscribe: %s", got)
+	}
+
+	// a document the index cannot read does not fail the write: the
+	// index marks itself stale
+	raw := store.MustNewTable("r", store.Column{Name: "jdoc", Type: store.TypeRaw, CheckJSON: true})
+	rx := New("rx", "r", "jdoc", false)
+	if err := rx.Subscribe(raw); err != nil {
 		t.Fatal(err)
 	}
-	if ix.DocCount() != 1 {
-		t.Fatal("NULL doc was indexed")
-	}
-	// observer on a table without the column errors out
-	bad := New("sx2", "po", "missing_col", false)
-	if err := bad.RowInserted(tab, 0, store.Row{jsondom.Number("1"), jsondom.String("{}")}); err == nil {
-		t.Fatal("missing column should fail")
+	if _, err := raw.Insert(store.Row{jsondom.Binary{1, 2, 3}}); err != nil || !rx.Stale() {
+		t.Fatalf("insert of an unreadable document: %v, stale %v", err, rx.Stale())
 	}
 }
 
@@ -157,14 +206,13 @@ func TestDataGuideOnlyMode(t *testing.T) {
 	if !ix.DataGuideEnabled() {
 		t.Fatal("dataguide should be on")
 	}
-	tab := store.MustNewTable("po",
-		store.Column{Name: "did", Type: store.TypeNumber},
-		store.Column{Name: "jdoc", Type: store.TypeVarchar, CheckJSON: true},
-	)
-	tab.AddObserver(ix)
+	tab := poTable()
+	if err := ix.Subscribe(tab); err != nil {
+		t.Fatal(err)
+	}
 	// homogeneous inserts hit the fingerprint fast path after the first
 	for i := 0; i < 5; i++ {
-		if _, err := tab.Insert(store.Row{jsondom.NumberFromInt(int64(i)), jsondom.String(docs[0])}); err != nil {
+		if _, err := tab.Insert(store.Row{jsondom.NumberFromInt(int64(i)), jsondom.String(docs[0]), jsondom.Null{}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +229,7 @@ func TestDataGuideOnlyMode(t *testing.T) {
 	}
 	// structural change is still detected
 	before := len(ix.DGTable())
-	if _, err := tab.Insert(store.Row{jsondom.Number("9"), jsondom.String(`{"purchaseOrder":{"brand_new":1}}`)}); err != nil {
+	if _, err := tab.Insert(store.Row{jsondom.Number("9"), jsondom.String(`{"purchaseOrder":{"brand_new":1}}`), jsondom.Null{}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ix.DGTable()) != before+1 {

@@ -71,11 +71,41 @@ func checkModel(t *testing.T, e *Engine, model map[int]*modelRow, step int, last
 	}
 }
 
+const optSQL = `select id from m where json_exists(jdoc, '$.opt') order by id`
+
+// checkOpt compares the rows holding $.opt read through the search
+// index, read with index scans disabled, and kept by the model.
+func checkOpt(t *testing.T, e *Engine, model map[int]*modelRow, when string) {
+	t.Helper()
+	var ids []int
+	for id, r := range model {
+		if r.opt {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	want := make([]string, len(ids))
+	for i, id := range ids {
+		want[i] = fmt.Sprintf("[%d]", id)
+	}
+	viaIndex := fmt.Sprint(mustExec(t, e, optSQL).Rows)
+	e.Planner.DisableIndexScan = true
+	scanned := fmt.Sprint(mustExec(t, e, optSQL).Rows)
+	e.Planner.DisableIndexScan = false
+	if w := "[" + strings.Join(want, " ") + "]"; viaIndex != w || scanned != w {
+		t.Fatalf("%s: rows with $.opt via the index %s, with index scans disabled %s, in the model %s", when, clip(viaIndex), clip(scanned), clip(w))
+	}
+}
+
 // TestDMLInterleavingAgainstModel runs a seeded mix of INSERT, UPDATE,
 // DELETE and SELECT whose predicates cover a primary-key equality
 // (literal and bind), a virtual-column comparison, the JSON_VALUE
 // spelling the VC rewrite turns into one, JSON_EXISTS over the search
 // index with a residual, and no WHERE at all, under both scan configs.
+// Some UPDATEs rewrite jdoc, adding or removing $.opt (and moving $.k),
+// through each kind of predicate; after every step JSON_EXISTS over
+// $.opt answers the same through the search index as with index scans
+// disabled, and as the model says.
 // With a store, it is populated and attached at random steps — after
 // deletes too — and stays attached, and subscribed to the table, for all
 // the statements that follow: the reads of UPDATE and DELETE go through
@@ -94,6 +124,9 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			label := fmt.Sprintf("imc=%v %s", withIMC, cfg.label)
 			nextID := dmlModelRows
+			if plan := explainPlan(t, e, `explain `+optSQL); !strings.Contains(plan, "via-index") {
+				t.Fatalf("%s: %s does not read the search index:\n%s", label, optSQL, plan)
+			}
 			for _, q := range []string{`id = 5`, `id = ?`, `? = id and n > 0`} {
 				plan := explainPlan(t, e, `explain select id from m where `+q, num(5))
 				if !strings.Contains(plan, "TableScan(m via-pk)") || strings.Contains(plan, "ParallelScan") {
@@ -102,6 +135,7 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 			}
 			const steps = 160
 			for step := 0; step < steps; step++ {
+				checkOpt(t, e, model, fmt.Sprintf("%s before step %d", label, step))
 				if withIMC && rng.Intn(3) == 0 {
 					attachIMC(t, e, "m", "vk")
 				}
@@ -111,7 +145,15 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				var apply func(r *modelRow) // nil deletes the row
 				byKey := false              // the predicate is `id = ...` alone
 				id, c := rng.Intn(nextID), rng.Intn(8)
-				switch op := rng.Intn(12); op {
+				rewrite := func(opt bool) func(r *modelRow) {
+					doc := fmt.Sprintf(`{"k":%d,"tag":"w"}`, c%7)
+					if opt {
+						doc = fmt.Sprintf(`{"k":%d,"tag":"w","opt":%d}`, c%7, id)
+					}
+					params = append([]jsondom.Value{jsondom.String(doc)}, params...)
+					return func(r *modelRow) { r.k, r.opt = c%7, opt }
+				}
+				switch op := rng.Intn(15); op {
 				case 0:
 					sql, byKey = fmt.Sprintf(`update m set n = n + 1 where id = %d`, id), true
 					hit = func(i int, _ *modelRow) bool { return i == id }
@@ -157,6 +199,18 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				case 9:
 					sql, params = `delete from m where json_exists(jdoc, '$.opt') and id >= ? and id < ?`, []jsondom.Value{num(id), num(id + 40)}
 					hit = func(i int, r *modelRow) bool { return r.opt && i >= id && i < id+40 }
+				case 10:
+					sql, params, byKey = `update m set jdoc = ? where id = ?`, []jsondom.Value{num(id)}, true
+					hit = func(i int, _ *modelRow) bool { return i == id }
+					apply = rewrite(c%2 == 0)
+				case 11:
+					sql, params = `update m set jdoc = ? where id >= ? and id < ?`, []jsondom.Value{num(id), num(id + 20)}
+					hit = func(i int, _ *modelRow) bool { return i >= id && i < id+20 }
+					apply = rewrite(c%2 == 0)
+				case 12:
+					sql, params = `update m set jdoc = ? where json_exists(jdoc, '$.opt') and n > ?`, []jsondom.Value{num(c * 4)}
+					hit = func(_ int, r *modelRow) bool { return r.opt && r.n > c*4 }
+					apply = rewrite(false)
 				default:
 					doc := fmt.Sprintf(`{"k":%d,"tag":"new","opt":1}`, c%7)
 					mustExec(t, e, `insert into m values (?, ?, ?)`, num(nextID), jsondom.String(doc), num(c))
@@ -187,6 +241,7 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 				}
 			}
 			checkModel(t, e, model, steps, "the last step")
+			checkOpt(t, e, model, label+" after the last step")
 			if withIMC {
 				if plan := explainPlan(t, e, `explain select id from m where vk >= 1`); !strings.Contains(plan, "vec-filters=1") {
 					t.Fatalf("%s: the store did not survive %d steps of DML:\n%s", label, steps, plan)
@@ -204,6 +259,34 @@ func TestDMLInterleavingAgainstModel(t *testing.T) {
 			if n := len(mustExec(t, e, `select id from m`).Rows); n != 0 {
 				t.Fatalf("%s: %d rows survive delete without WHERE", label, n)
 			}
+		}
+	}
+}
+
+// TestSearchIndexFollowsUpdates: an UPDATE that adds a path to one
+// document and removes it from another moves the path's postings, so
+// JSON_EXISTS answers the same through the index as without it.
+func TestSearchIndexFollowsUpdates(t *testing.T) {
+	e := New()
+	mustExec(t, e, `create table m (id number primary key, jdoc varchar2(4000) check (jdoc is json))`)
+	mustExec(t, e, `create search index mix on m (jdoc)`)
+	for i := 0; i < 50; i++ {
+		doc := fmt.Sprintf(`{"k":%d}`, i)
+		if i == 3 {
+			doc = `{"k":3,"opt":1}`
+		}
+		mustExec(t, e, `insert into m values (?, ?)`, jsondom.NumberFromInt(int64(i)), jsondom.String(doc))
+	}
+	mustExec(t, e, `update m set jdoc = '{"k":7,"opt":2}' where id = 7`)
+	mustExec(t, e, `update m set jdoc = '{"k":3}' where id = 3`)
+	const q = `select id from m where json_exists(jdoc, '$.opt')`
+	if plan := explainPlan(t, e, `explain `+q); !strings.Contains(plan, "TableScan(m via-index)") {
+		t.Fatalf("the query does not read the index:\n%s", plan)
+	}
+	for _, disable := range []bool{false, true} {
+		e.Planner.DisableIndexScan = disable
+		if got := fmt.Sprint(mustExec(t, e, q).Rows); got != "[[7]]" {
+			t.Fatalf("DisableIndexScan=%v: %s = %s, want [[7]]", disable, q, got)
 		}
 	}
 }

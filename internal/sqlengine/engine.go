@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -494,9 +495,6 @@ func (e *Engine) createSearchIndex(t *CreateSearchIndexStmt) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := tab.Column(t.Column); !ok {
-		return fmt.Errorf("sql: no such column %q in %q", t.Column, t.Table)
-	}
 	name := strings.ToLower(t.Name)
 	if e.indexDefined(name) {
 		return fmt.Errorf("sql: index %q already exists", t.Name)
@@ -507,19 +505,10 @@ func (e *Engine) createSearchIndex(t *CreateSearchIndexStmt) error {
 	} else {
 		ix = searchindex.New(name, tab.Name, t.Column, t.DataGuide)
 	}
-	// index pre-existing rows, then observe future inserts
-	var indexErr error
-	tab.Scan(func(rid int, row store.Row) bool {
-		if err := ix.RowInserted(tab, rid, row); err != nil {
-			indexErr = err
-			return false
-		}
-		return true
-	})
-	if indexErr != nil {
-		return indexErr
+	// index the rows the table holds and follow every write from there
+	if err := ix.Subscribe(tab); err != nil {
+		return fmt.Errorf("sql: create search index %s: %w", t.Name, err)
 	}
-	tab.AddObserver(ix)
 	e.registerIndex(name, tab.Name, ix)
 	return nil
 }
@@ -588,14 +577,9 @@ func (e *Engine) drop(t *DropStmt) error {
 		if !ok {
 			return fmt.Errorf("sql: no such index %q", t.Name)
 		}
+		ix.Unsubscribe()
 		delete(e.indexes, name)
-		list := e.tableIndexes[ix.TableName]
-		for i, x := range list {
-			if x == ix {
-				e.tableIndexes[ix.TableName] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
+		e.tableIndexes[ix.TableName] = slices.DeleteFunc(e.tableIndexes[ix.TableName], func(x *searchindex.Index) bool { return x == ix })
 	}
 	return nil
 }
@@ -1063,13 +1047,14 @@ func (e *Engine) indexAccess(scan *tableScan, where Expr) (Expr, bool) {
 	if len(indexes) == 0 || e.Planner.DisableIndexScan {
 		return where, false
 	}
-	var getters []func() []int
-	var residual Expr
+	var getters []func() ([]int, bool)
+	var residual, consumed Expr
 	for _, c := range splitAnd(where) {
 		switch t := c.(type) {
 		case *JSONExistsExpr:
 			if g, ok := e.indexPathPostings(indexes, t); ok {
 				getters = append(getters, g)
+				consumed = andExpr(consumed, c)
 				continue // the postings satisfy this conjunct exactly
 			}
 		case *JSONTextContainsExpr:
@@ -1085,41 +1070,31 @@ func (e *Engine) indexAccess(scan *tableScan, where Expr) (Expr, bool) {
 		return where, false
 	}
 	// postings are read at Open, per execution, so a cached plan picks
-	// up rows inserted after planning
-	scan.rowIDsVia = "index"
+	// up rows written after planning; a stale index declines, and the
+	// scan applies the conjuncts the postings would have answered
+	scan.rowIDsVia, scan.rowIDsPred = "index", consumed
 	scan.rowIDsFn = func(*planEnv) ([]int, bool) {
 		var rowIDs []int
 		for i, g := range getters {
-			rowIDs = restrictIDs(rowIDs, g(), i > 0)
+			ids, ok := g()
+			if !ok {
+				return nil, false
+			}
+			if i > 0 {
+				ids = searchindex.Intersect(rowIDs, ids)
+			}
+			rowIDs = ids
 		}
 		return rowIDs, true
 	}
 	return residual, true
 }
 
-// restrictIDs intersects candidate row id lists (both sorted by
-// insertion order as postings are).
-func restrictIDs(cur, add []int, curValid bool) []int {
-	if !curValid {
-		return add
-	}
-	set := make(map[int]bool, len(add))
-	for _, id := range add {
-		set[id] = true
-	}
-	var out []int
-	for _, id := range cur {
-		if set[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // indexKeywordPostings resolves a JSON_TEXTCONTAINS conjunct to a
 // getter over the documents whose string leaves contain the keyword;
-// the getter reads live postings when the scan opens.
-func (e *Engine) indexKeywordPostings(indexes []*searchindex.Index, tc *JSONTextContainsExpr) (func() []int, bool) {
+// the getter reads live postings when the scan opens, and declines
+// when the index is stale.
+func (e *Engine) indexKeywordPostings(indexes []*searchindex.Index, tc *JSONTextContainsExpr) (func() ([]int, bool), bool) {
 	arg, ok := tc.Arg.(*ColRef)
 	if !ok {
 		return nil, false
@@ -1129,7 +1104,7 @@ func (e *Engine) indexKeywordPostings(indexes []*searchindex.Index, tc *JSONText
 			continue
 		}
 		ix := ix
-		return func() []int { return ix.DocsWithKeyword(tc.Keyword) }, true
+		return func() ([]int, bool) { return ix.DocsWithKeyword(tc.Keyword), !ix.Stale() }, true
 	}
 	return nil, false
 }
@@ -1137,8 +1112,9 @@ func (e *Engine) indexKeywordPostings(indexes []*searchindex.Index, tc *JSONText
 // indexPathPostings resolves a JSON_EXISTS conjunct against the search
 // indexes of the table: the argument must be a bare column reference
 // carrying a postings-enabled index, and the path a pure field chain.
-// The returned getter reads live postings when the scan opens.
-func (e *Engine) indexPathPostings(indexes []*searchindex.Index, je *JSONExistsExpr) (func() []int, bool) {
+// The returned getter reads live postings when the scan opens, and
+// declines when the index is stale.
+func (e *Engine) indexPathPostings(indexes []*searchindex.Index, je *JSONExistsExpr) (func() ([]int, bool), bool) {
 	arg, ok := je.Arg.(*ColRef)
 	if !ok {
 		return nil, false
@@ -1156,7 +1132,7 @@ func (e *Engine) indexPathPostings(indexes []*searchindex.Index, je *JSONExistsE
 			path += "." + n
 		}
 		ix := ix
-		return func() []int { return ix.DocsWithPath(path) }, true
+		return func() ([]int, bool) { return ix.DocsWithPath(path), !ix.Stale() }, true
 	}
 	return nil, false
 }

@@ -398,6 +398,11 @@ func TestSearchIndexDDLAndMaintenance(t *testing.T) {
 	if _, ok := e.SearchIndex("po_sx"); ok {
 		t.Fatal("index survived drop")
 	}
+	// a dropped index no longer hears of the table's writes
+	mustExec(t, e, `insert into po values (5, '{"purchaseOrder":{"id":5}}')`)
+	if ix.DocCount() != 4 {
+		t.Fatalf("a dropped index indexed an insert: doc count %d", ix.DocCount())
+	}
 }
 
 func TestVirtualColumnsAndAddVC(t *testing.T) {
@@ -516,6 +521,7 @@ func TestErrorCases(t *testing.T) {
 		`alter table nosuch add virtual column v as did`,
 		`create search index sx on nosuch (c)`,
 		`create search index sx on po (nocol)`,
+		`create search index sx on po (did)`, // no IS JSON check
 	}
 	for _, sql := range bad {
 		if _, err := e.Exec(sql); err == nil {

@@ -4,9 +4,10 @@
 //
 // It stands in for the Oracle storage kernel the paper builds on: the
 // experiments only require heap tables with typed columns, an IS JSON
-// validation hook on insert (§3.2.1, Figure 7), insert observers for
-// search-index / DataGuide maintenance, and key indexes for the
-// relational (REL) baseline of §6.3.
+// validation hook on insert (§3.2.1, Figure 7), a list of write
+// subscribers that keeps the search index, its DataGuide and the
+// in-memory store in step with every insert, update and delete, and key
+// indexes for the relational (REL) baseline of §6.3.
 //
 // SQL data values are represented with jsondom scalars: SQL NULL is
 // jsondom.Null, NUMBER is jsondom.Number (exact decimal), VARCHAR2 is
@@ -17,6 +18,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,22 +76,17 @@ type Column struct {
 // (non-virtual) column i.
 type Row []jsondom.Value
 
-// InsertObserver is notified after a row passes constraint checks and
-// before it becomes visible. The JSON search index uses this hook to
-// maintain its inverted lists and the persistent DataGuide.
-type InsertObserver interface {
-	RowInserted(t *Table, rowID int, row Row) error
-}
-
 // WriteObserver is told of every committed write to a table, under the
-// table's write lock and in commit order: the in-memory store (§5.2)
-// subscribes to keep its columnar image consistent with the row store
-// while DML runs. row is the row now stored under rowID, nil when the
-// row was deleted; writes is the table's write count including this
-// write (Table.View reports the same count to a reader). RowWritten
-// must not call back into the table.
+// table's write lock and in commit order: the JSON search index keeps
+// its postings and the persistent DataGuide (§3.2.1), the in-memory
+// store (§5.2) its columnar image, consistent with the row store. old
+// is the row stored under rowID before the write, nil for an insert;
+// row is the row stored after it, nil for a delete; writes is the
+// table's write count including this write (Table.View reports the
+// same count to a reader). A subscriber cannot fail a write, and
+// RowWritten must not call back into the table.
 type WriteObserver interface {
-	RowWritten(rowID int, row Row, writes uint64)
+	RowWritten(rowID int, old, row Row, writes uint64)
 }
 
 // Common errors.
@@ -100,8 +97,8 @@ var (
 	ErrType         = errors.New("store: type mismatch")
 )
 
-// Table is a heap table with optional key indexes and insert
-// observers.
+// Table is a heap table with optional key indexes and write
+// subscribers.
 type Table struct {
 	Name string
 
@@ -116,12 +113,10 @@ type Table struct {
 	// pkLoose is set, and never cleared, once a key outside the class
 	// sqlExactKey accepts has been indexed: from then on two keys SQL
 	// calls equal may sit under different index entries (ProbePK).
-	pkLoose   bool
-	observers []InsertObserver
-	// writeObs is the one subscriber to committed writes (nil for a
-	// table without an in-memory store); writes counts them.
-	writeObs WriteObserver
-	writes   uint64
+	pkLoose bool
+	// subscribers hear of every committed write; writes counts them.
+	subscribers []WriteObserver
+	writes      uint64
 
 	// tombstones marks deleted rows (row ids stay stable); live counts
 	// visible rows.
@@ -198,38 +193,33 @@ func (t *Table) SetPrimaryKey(col string) error {
 	return nil
 }
 
-// AddObserver registers an insert observer.
-func (t *Table) AddObserver(o InsertObserver) {
+// Subscribe calls fn with the table as View would show it and adds o to
+// the subscribers, unless it is one already, both under the write lock:
+// o hears of every write that commits after what fn saw, and of no
+// other. Like RowWritten, fn must not call back into the table.
+func (t *Table) Subscribe(o WriteObserver, fn func(rows []Row, tombs []bool, writes uint64)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.observers = append(t.observers, o)
-}
-
-// Subscribe makes o the one subscriber to the table's committed writes
-// and returns the subscriber it displaced, nil when there was none.
-func (t *Table) Subscribe(o WriteObserver) (displaced WriteObserver) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	displaced, t.writeObs = t.writeObs, o
-	return displaced
-}
-
-// Unsubscribe ends o's subscription; it does nothing when o is not the
-// current subscriber.
-func (t *Table) Unsubscribe(o WriteObserver) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.writeObs == o {
-		t.writeObs = nil
+	fn(t.rows, t.tombstones, t.writes)
+	if !slices.Contains(t.subscribers, o) {
+		t.subscribers = append(t.subscribers, o)
 	}
 }
 
-// wrote counts one committed write and tells the subscriber. The
-// caller holds the write lock.
-func (t *Table) wrote(rowID int, row Row) {
+// Unsubscribe ends o's subscription; it does nothing when o is not
+// subscribed.
+func (t *Table) Unsubscribe(o WriteObserver) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.subscribers = slices.DeleteFunc(t.subscribers, func(x WriteObserver) bool { return x == o })
+}
+
+// wrote counts one committed write and tells the subscribers, in the
+// order they subscribed. The caller holds the write lock.
+func (t *Table) wrote(rowID int, old, row Row) {
 	t.writes++
-	if t.writeObs != nil {
-		t.writeObs.RowWritten(rowID, row, t.writes)
+	for _, o := range t.subscribers {
+		o.RowWritten(rowID, old, row, t.writes)
 	}
 }
 
@@ -301,26 +291,7 @@ func (t *Table) Insert(row Row) (int, error) {
 	rid := len(t.rows)
 	t.rows = append(t.rows, row)
 	t.live++
-	observers := t.observers
-	// Observers run outside the table lock (they read table metadata
-	// through locking accessors); failures roll the append back.
-	t.mu.Unlock()
-	var obsErr error
-	for _, o := range observers {
-		if obsErr = o.RowInserted(t, rid, row); obsErr != nil {
-			break
-		}
-	}
-	t.mu.Lock() //fsdmvet:ignore lockcheck re-acquire for the function-entry deferred Unlock after the observer window
-	if obsErr != nil {
-		t.rows = t.rows[:rid]
-		t.live--
-		if t.pkCol >= 0 {
-			delete(t.pkIndex, keyString(row[t.pkCol]))
-		}
-		return 0, obsErr
-	}
-	t.wrote(rid, row)
+	t.wrote(rid, nil, row)
 	return rid, nil
 }
 
@@ -378,9 +349,9 @@ func (t *Table) deleted(rowID int) bool {
 	return rowID < len(t.tombstones) && t.tombstones[rowID]
 }
 
-// Delete tombstones a row. Row ids are stable, so secondary structures
-// (search-index postings, in-memory stores) holding the id simply stop
-// seeing the row; the persistent DataGuide stays additive (§3.4).
+// Delete tombstones a row; row ids are stable. The subscribers are told
+// the row it held, so the search index drops its postings; the
+// persistent DataGuide stays additive (§3.4).
 func (t *Table) Delete(rowID int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -395,7 +366,7 @@ func (t *Table) Delete(rowID int) bool {
 	if t.pkCol >= 0 {
 		delete(t.pkIndex, keyString(t.rows[rowID][t.pkCol]))
 	}
-	t.wrote(rowID, nil)
+	t.wrote(rowID, t.rows[rowID], nil)
 	return true
 }
 
@@ -428,8 +399,9 @@ func (t *Table) Update(rowID int, row Row) error {
 			t.pkLoose = t.pkLoose || looseKey(t.columns[t.pkCol].Type, row[t.pkCol])
 		}
 	}
+	old := t.rows[rowID]
 	t.rows[rowID] = row
-	t.wrote(rowID, row)
+	t.wrote(rowID, old, row)
 	return nil
 }
 
@@ -552,10 +524,12 @@ func (t *Table) Scan(fn func(rowID int, row Row) bool) {
 }
 
 // Snapshot returns the current row and tombstone slices under one lock
-// acquisition. Rows are append-only and tombstoning only flips bools,
-// so the slices are safe to iterate without further locking; a scan
-// built on a snapshot sees the table as of the call (the same
-// semantics Scan provides).
+// acquisition. Appends never move what a snapshot holds, so an
+// insert-only table can be iterated without further locking. Update
+// and Delete, however, write t.rows[rowID] and the tombstone in place:
+// a scan that iterates a snapshot while a row it holds is updated or
+// deleted races with that write, and may see either version of the row
+// (a known race; copy-on-write snapshots would close it).
 func (t *Table) Snapshot() ([]Row, []bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/jsondom"
@@ -239,84 +241,110 @@ func TestVirtualColumn(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	rows []int
-	fail bool
+// writeLog records what a subscriber is told, into a log it may share
+// with other subscribers, and whether the table's write lock was held
+// when it was told.
+type writeLog struct {
+	name     string
+	tab      *Table
+	log      *[]string
+	unlocked int
 }
 
-func (r *recordingObserver) RowInserted(t *Table, rowID int, row Row) error {
-	if r.fail {
-		return errors.New("observer rejects")
+func (w *writeLog) RowWritten(rowID int, old, row Row, writes uint64) {
+	if w.tab.mu.TryRLock() {
+		w.tab.mu.RUnlock()
+		w.unlocked++
 	}
-	r.rows = append(r.rows, rowID)
-	return nil
+	doc := func(r Row) any {
+		if r == nil {
+			return "-"
+		}
+		return r[1]
+	}
+	*w.log = append(*w.log, fmt.Sprintf("%s %d:%v>%v@%d", w.name, rowID, doc(old), doc(row), writes))
 }
 
+// jdocRow is a po row whose document is {"d":s}.
+func jdocRow(s string) Row { return Row{jsondom.Number(s), jsondom.String(`{"d":` + s + `}`)} }
+
+// TestObservers: every subscriber hears of every committed write —
+// insert, update, delete, with the row before and after — under the
+// write lock, in commit order and in the order they subscribed, and of
+// nothing that did not commit; subscribing twice is subscribing once;
+// Unsubscribe ends one subscription and leaves the others.
 func TestObservers(t *testing.T) {
 	tab := poTable(t)
-	obs := &recordingObserver{}
-	tab.AddObserver(obs)
-	tab.Insert(Row{jsondom.Number("1"), jsondom.String("{}")}) //nolint:errcheck
-	tab.Insert(Row{jsondom.Number("2"), jsondom.String("{}")}) //nolint:errcheck
-	if len(obs.rows) != 2 || obs.rows[1] != 1 {
-		t.Fatalf("observed = %v", obs.rows)
+	if err := tab.SetPrimaryKey("did"); err != nil {
+		t.Fatal(err)
 	}
-	// observer failure rolls the row back
-	obs.fail = true
-	if _, err := tab.Insert(Row{jsondom.Number("3"), jsondom.String("{}")}); err == nil {
-		t.Fatal("observer error should propagate")
+	doc := jdocRow
+	tab.Insert(doc("1")) //nolint:errcheck
+	var log []string
+	a, b := &writeLog{name: "a", tab: tab, log: &log}, &writeLog{name: "b", tab: tab, log: &log}
+	tab.Subscribe(a, func(rows []Row, tombs []bool, writes uint64) {
+		log = append(log, fmt.Sprintf("a sees %d rows @%d", len(rows), writes))
+	})
+	none := func([]Row, []bool, uint64) {}
+	tab.Subscribe(b, none)
+	tab.Subscribe(b, none) // already subscribed: b still hears each write once
+	tab.Insert(doc("2"))   //nolint:errcheck
+	// none of these commits, so no subscriber hears of it
+	_, dup := tab.Insert(doc("2"))
+	_, narrow := tab.Insert(Row{jsondom.Number("3")})
+	if dup == nil || narrow == nil || tab.Update(7, doc("9")) == nil {
+		t.Fatal("a write that must fail succeeded")
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("rollback failed: %d rows", tab.NumRows())
+	tab.Update(0, Row{jsondom.Number("1"), jsondom.String(`{"d":10}`)}) //nolint:errcheck
+	tab.Delete(1)
+	tab.Delete(1) // already gone: not a write
+	want := `[a sees 1 rows @1 a 1:->{"d":2}@2 b 1:->{"d":2}@2 a 0:{"d":1}>{"d":10}@3 b 0:{"d":1}>{"d":10}@3 a 1:{"d":2}>-@4 b 1:{"d":2}>-@4]`
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("subscribers were told\n  %s\nwant\n  %s", got, want)
+	}
+	if a.unlocked+b.unlocked != 0 {
+		t.Fatalf("%d writes were told without the write lock held", a.unlocked+b.unlocked)
+	}
+	tab.Unsubscribe(&writeLog{}) // not a subscriber: no effect
+	tab.Unsubscribe(a)
+	log = nil
+	tab.Delete(0)
+	if got := fmt.Sprint(log); got != `[b 0:{"d":10}>-@5]` {
+		t.Fatalf("after Unsubscribe(a): %s", got)
 	}
 }
 
-// writeLog records what a WriteObserver is told.
-type writeLog struct{ seen []string }
-
-func (w *writeLog) RowWritten(rowID int, row Row, writes uint64) {
-	w.seen = append(w.seen, fmt.Sprintf("%d:%v@%d", rowID, row != nil, writes))
-}
-
-// TestWriteObserver: the one subscriber hears of every committed write —
-// insert, update, delete — in order and with the table's write count,
-// and of nothing that did not commit.
+// TestWriteObserver: a subscription taken while another goroutine
+// inserts — each row is either in what Subscribe's fn saw or told to the
+// subscriber, never both and never neither, and the write counts join up.
 func TestWriteObserver(t *testing.T) {
 	tab := poTable(t)
-	reject := &recordingObserver{}
-	tab.AddObserver(reject)
-	tab.Insert(Row{jsondom.Number("1"), jsondom.String("{}")}) //nolint:errcheck
-	log := &writeLog{}
-	if old := tab.Subscribe(log); old != nil {
-		t.Fatalf("displaced %v from a table without a subscriber", old)
-	}
-	tab.Insert(Row{jsondom.Number("2"), jsondom.String("{}")}) //nolint:errcheck
-	reject.fail = true
-	tab.Insert(Row{jsondom.Number("3"), jsondom.String("{}")}) //nolint:errcheck
-	if err := tab.Update(7, Row{jsondom.Number("9"), jsondom.String("{}")}); err == nil {
-		t.Fatal("update of a missing row")
-	}
-	tab.Update(0, Row{jsondom.Number("1"), jsondom.String(`{"a":1}`)}) //nolint:errcheck
-	tab.Delete(1)
-	tab.Delete(1) // already gone: no write
-	want := "[1:true@2 0:true@3 1:false@4]"
-	if got := fmt.Sprint(log.seen); got != want {
-		t.Fatalf("subscriber was told %s, want %s", got, want)
-	}
-	tab.View(func(rows []Row, tombs []bool, writes uint64) {
-		if len(rows) != 2 || !tombs[1] || writes != 4 {
-			t.Fatalf("View: %d rows, tombstones %v, %d writes", len(rows), tombs, writes)
+	doc := jdocRow
+	var heard []string
+	c := &writeLog{name: "c", tab: tab, log: &heard}
+	const n = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			tab.Insert(doc(fmt.Sprint(i))) //nolint:errcheck
 		}
-	})
-	other := &writeLog{}
-	tab.Unsubscribe(other) // not the subscriber: no effect
-	if old := tab.Subscribe(other); old != WriteObserver(log) {
-		t.Fatalf("displaced %v, want the first subscriber", old)
+	}()
+	for tab.MaxRowID() < n/4 {
+		runtime.Gosched()
 	}
-	tab.Unsubscribe(other)
-	tab.Delete(0)
-	if len(other.seen) != 0 || len(log.seen) != 3 {
-		t.Fatalf("after Unsubscribe: %v, %v", other.seen, log.seen)
+	var seen int
+	var seenAt uint64
+	tab.Subscribe(c, func(rows []Row, _ []bool, writes uint64) { seen, seenAt = len(rows), writes })
+	wg.Wait()
+	if seen+len(heard) != n || seenAt != uint64(seen) {
+		t.Fatalf("Subscribe saw %d rows at write %d and heard of %d more, of %d", seen, seenAt, len(heard), n)
+	}
+	for i, h := range heard {
+		if want := fmt.Sprintf(`c %d:->{"d":%d}@%d`, seen+i, seen+i, seen+i+1); h != want {
+			t.Fatalf("write %d after the subscription was told as %q, want %q", i, h, want)
+		}
 	}
 }
 
