@@ -60,12 +60,14 @@ doccheck:
 
 # One iteration of every benchmark: catches bit-rot in the benchmark
 # harnesses without paying for full measurement runs. The second step
-# is the allocation-regression gate: BenchmarkFig3OLAPOSON allocs/op
-# must stay within 10% of the committed ALLOC_BASELINE.txt figure, so
-# the PR9 expansion-allocation work cannot silently erode.
+# is the allocation-regression gate: BenchmarkFig3OLAPOSON and
+# BenchmarkFig5NoBenchOsonIMC allocs/op must stay within 10% of the
+# committed ALLOC_BASELINE.txt figures, so neither the pooled JSON_TABLE
+# expansion nor the scalar operators' reused OSON reader can silently
+# erode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
+	$(GO) test -run '^$$' -bench 'Fig3OLAPOSON$$|Fig5NoBenchOsonIMC$$' -benchtime 5x -benchmem . | $(GO) run ./cmd/allocguard -baseline ALLOC_BASELINE.txt
 
 # benchmark/ (fsdmbench, the yardstick every performance claim uses) is
 # its own module, so the root `go test ./...` never reaches it: a PR

@@ -88,6 +88,7 @@ func (e *planEnv) ctx(sch Schema, row []jsondom.Value) *evalCtx {
 func (e *planEnv) bindCtx(sch Schema, exprs ...Expr) *evalCtx {
 	ctx := e.ctx(sch, nil)
 	ctx.colIdx = make(map[*ColRef]int)
+	ctx.ownsReader = true
 	for _, x := range exprs {
 		bindCols(x, sch, ctx.colIdx)
 	}

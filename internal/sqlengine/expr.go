@@ -14,6 +14,7 @@ import (
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
 	"repro/internal/oson"
+	"repro/internal/pathengine"
 	"repro/internal/sqljson"
 )
 
@@ -67,6 +68,11 @@ type evalCtx struct {
 	// context's schema; operators build it once at Open so per-row
 	// evaluation avoids the linear name search.
 	colIdx map[*ColRef]int
+	// ownsReader marks a context built once per operator (bindCtx):
+	// it reads OSON through jr, allocated on first use. Per-row contexts
+	// (planEnv.ctx) use FromDatum: some run on several workers at once.
+	ownsReader bool
+	jr         *sqljson.Reader
 }
 
 var null = jsondom.Null{}
@@ -266,15 +272,28 @@ func evalExpr(ctx *evalCtx, e Expr) (jsondom.Value, error) {
 	return nil, fmt.Errorf("sql: cannot evaluate %T", e)
 }
 
+// jsonDoc is what the SQL/JSON operators read: the context's reader
+// bound to an OSON datum, or a one-shot sqljson.Document.
+type jsonDoc interface {
+	Value(c *pathengine.Compiled, rt sqljson.ReturnType) (jsondom.Value, error)
+	Exists(c *pathengine.Compiled) (bool, error)
+	Query(c *pathengine.Compiled) (jsondom.Value, error)
+	TextContains(c *pathengine.Compiled, keyword string) (bool, error)
+}
+
 // evalDoc evaluates an expression to a JSON document; a NULL argument
-// yields a nil document (operators return NULL/false).
-func evalDoc(ctx *evalCtx, e Expr) (*sqljson.Document, error) {
+// yields a nil document (operators return NULL/false). The document is
+// valid until the context's next evalDoc.
+func evalDoc(ctx *evalCtx, e Expr) (jsonDoc, error) {
 	v, err := evalExpr(ctx, e)
-	if err != nil {
+	if err != nil || isNull(v) {
 		return nil, err
 	}
-	if isNull(v) {
-		return nil, nil
+	if ctx.ownsReader && sqljson.IsOSON(v) {
+		if ctx.jr == nil {
+			ctx.jr = new(sqljson.Reader)
+		}
+		return ctx.jr, ctx.jr.Bind(v)
 	}
 	return sqljson.FromDatum(v)
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/bson"
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
-	"repro/internal/oson"
 	"repro/internal/pathengine"
 )
 
@@ -85,13 +84,12 @@ type ExpandState struct {
 	def   *TableDef
 	total int
 
-	ost  pathengine.EvalState[oson.NodeAddr]
-	dst  pathengine.EvalState[jsondom.Value]
-	tree pathengine.OsonTree
-	doc  oson.Doc
-	row  []jsondom.Value
+	// rd is the OSON half: the reused Doc, tree and arena (reader.go)
+	rd  Reader
+	dst pathengine.EvalState[jsondom.Value]
+	row []jsondom.Value
 
-	// bound document: exactly one of bOson / bDom is active
+	// bound document: exactly one of bOson (in rd) / bDom is active
 	bOson bool
 	bDom  jsondom.Value
 
@@ -104,7 +102,6 @@ type ExpandState struct {
 
 	docs       int64
 	rows       int64
-	parseReuse int64
 	internHits int64
 }
 
@@ -139,12 +136,12 @@ func (es *ExpandState) Width() int { return es.total }
 
 // Stats snapshots the state's counters.
 func (es *ExpandState) Stats() ExpandStats {
-	og, oh := es.ost.Reuse()
+	og, oh := es.rd.st.Reuse()
 	dg, dh := es.dst.Reuse()
 	return ExpandStats{
 		Docs:       es.docs,
 		Rows:       es.rows,
-		ParseReuse: es.parseReuse,
+		ParseReuse: es.rd.parses,
 		ArenaGets:  og + dg,
 		ArenaHits:  oh + dh,
 		InternHits: es.internHits,
@@ -156,8 +153,11 @@ func (es *ExpandState) Stats() ExpandStats {
 // (by magic) or BSON, mirroring FromDatum.
 func (es *ExpandState) Bind(v jsondom.Value) error {
 	es.docs++
-	es.bOson = false
 	es.bDom = nil
+	es.bOson = IsOSON(v)
+	if es.bOson {
+		return es.rd.Bind(v)
+	}
 	switch t := v.(type) {
 	case jsondom.String:
 		dom, err := jsontext.Parse([]byte(t))
@@ -167,24 +167,11 @@ func (es *ExpandState) Bind(v jsondom.Value) error {
 		es.bDom = dom
 		return nil
 	case jsondom.Binary:
-		if len(t) >= 4 && string(t[:4]) == oson.Magic {
-			if err := oson.ParseInto(&es.doc, t); err != nil {
-				return err
-			}
-			es.parseReuse++
-			es.tree.Reset(&es.doc)
-			es.bOson = true
-			return nil
-		}
 		dom, err := bson.Decode(t)
 		if err != nil {
 			return err
 		}
 		es.bDom = dom
-		return nil
-	case oson.SharedValue:
-		es.tree.Reset(t.Doc)
-		es.bOson = true
 		return nil
 	case *jsondom.Object, *jsondom.Array:
 		es.bDom = v
@@ -197,11 +184,7 @@ func (es *ExpandState) Bind(v jsondom.Value) error {
 // (JSON_EXISTS semantics, used for pushed-down prefilters).
 func (es *ExpandState) Exists(c *pathengine.Compiled) (bool, error) {
 	if es.bOson {
-		ok := es.ost.Exists(&es.tree, es.tree.Doc.Root(), c)
-		if err := es.tree.Err(); err != nil {
-			return false, err
-		}
-		return ok, nil
+		return es.rd.Exists(c)
 	}
 	return es.dst.Exists(pathengine.Dom, es.bDom, c), nil
 }
@@ -211,10 +194,10 @@ func (es *ExpandState) Exists(c *pathengine.Compiled) (bool, error) {
 // duration of the callback; consumers copy what they keep.
 func (es *ExpandState) Expand(emit func(row []jsondom.Value) error) error {
 	if es.bOson {
-		if err := expandEmit(es, &es.ost, &es.tree, es.tree.Doc.Root(), emit); err != nil {
+		if err := expandEmit(es, &es.rd.st, &es.rd.tree, es.rd.tree.Doc.Root(), emit); err != nil {
 			return err
 		}
-		if err := es.tree.Err(); err != nil {
+		if err := es.rd.tree.Err(); err != nil {
 			return err
 		}
 		return nil

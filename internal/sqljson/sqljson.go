@@ -57,7 +57,9 @@ func (e Encoding) String() string {
 // document.
 var ErrNotJSON = errors.New("sqljson: value is not a JSON document")
 
-// Document wraps one JSON document in any supported encoding.
+// Document wraps one JSON document in any supported encoding. It is
+// one-shot: an operator reading a stream of OSON datums holds a Reader
+// instead (reader.go), which runs the same OSON code.
 type Document struct {
 	enc  Encoding
 	text []byte
@@ -72,7 +74,7 @@ func FromDatum(v jsondom.Value) (*Document, error) {
 	case jsondom.String:
 		return &Document{enc: EncText, text: []byte(t)}, nil
 	case jsondom.Binary:
-		if len(t) >= 4 && string(t[:4]) == oson.Magic {
+		if hasOsonMagic(t) {
 			od, err := oson.Parse(t)
 			if err != nil {
 				return nil, err
@@ -85,16 +87,12 @@ func FromDatum(v jsondom.Value) (*Document, error) {
 		}
 		return &Document{enc: EncBSON, dom: dom}, nil
 	case oson.SharedValue:
-		return FromOson(t.Doc), nil
+		return &Document{enc: EncOSON, od: t.Doc}, nil
 	case *jsondom.Object, *jsondom.Array:
 		return &Document{enc: EncDOM, dom: t}, nil
 	}
 	return nil, fmt.Errorf("%w: kind %v", ErrNotJSON, v.Kind())
 }
-
-// FromOson wraps a pre-parsed OSON document (the in-memory OSON column
-// of §5.2.2 hands these out without reparsing).
-func FromOson(d *oson.Doc) *Document { return &Document{enc: EncOSON, od: d} }
 
 // FromDOM wraps a materialized tree.
 func FromDOM(v jsondom.Value) *Document { return &Document{enc: EncDOM, dom: v} }
@@ -127,38 +125,30 @@ func (d *Document) DOM() (jsondom.Value, error) {
 }
 
 // Eval evaluates a compiled path, choosing the strategy by encoding.
-// limit > 0 truncates the result sequence.
+// limit > 0 truncates the result sequence; matches past it are not
+// decoded.
 func (d *Document) Eval(c *pathengine.Compiled, limit int) ([]jsondom.Value, error) {
-	switch d.enc {
-	case EncOSON:
-		vals, err := pathengine.EvalOson(d.od, c)
-		if err != nil {
-			return nil, err
-		}
-		if limit > 0 && len(vals) > limit {
-			vals = vals[:limit]
-		}
-		return vals, nil
-	case EncText:
-		if d.dom == nil {
-			return pathengine.EvalText(d.text, c, limit)
-		}
-		fallthrough
-	default:
-		dom, err := d.DOM()
-		if err != nil {
-			return nil, err
-		}
-		vals := pathengine.EvalDom(dom, c)
-		if limit > 0 && len(vals) > limit {
-			vals = vals[:limit]
-		}
-		return vals, nil
+	switch {
+	case d.enc == EncOSON:
+		var st pathengine.EvalState[oson.NodeAddr]
+		return osonEval(&st, pathengine.NewOsonTree(d.od), c, limit)
+	case d.enc == EncText && d.dom == nil:
+		return pathengine.EvalText(d.text, c, limit)
 	}
+	dom, err := d.DOM()
+	if err != nil {
+		return nil, err
+	}
+	var st pathengine.EvalState[jsondom.Value]
+	return decodeMatches[jsondom.Value](&st, pathengine.Dom, dom, c, limit)
 }
 
 // Exists implements JSON_EXISTS.
 func (d *Document) Exists(c *pathengine.Compiled) (bool, error) {
+	if d.enc == EncOSON {
+		var st pathengine.EvalState[oson.NodeAddr]
+		return osonExists(&st, pathengine.NewOsonTree(d.od), c)
+	}
 	vals, err := d.Eval(c, 1)
 	if err != nil {
 		return false, err
@@ -181,23 +171,12 @@ const (
 // containers and multiple matches yield SQL NULL (lax error handling,
 // the Oracle default). The result is coerced to the requested type.
 func (d *Document) Value(c *pathengine.Compiled, rt ReturnType) (jsondom.Value, error) {
-	// field-chain fast path over OSON bytes or a cached DOM
 	if d.enc == EncOSON {
-		t := pathengine.NewOsonTree(d.od)
-		if node, found, ok := pathengine.EvalFieldChain[oson.NodeAddr](t, d.od.Root(), c); ok {
-			if err := t.Err(); err != nil {
-				return nil, err
-			}
-			if !found {
-				return jsondom.Null{}, nil
-			}
-			v, isScalar := t.Scalar(node)
-			if !isScalar {
-				return jsondom.Null{}, nil
-			}
-			return Coerce(v, rt)
-		}
-	} else if d.dom != nil {
+		var st pathengine.EvalState[oson.NodeAddr]
+		return osonValue(&st, pathengine.NewOsonTree(d.od), c, rt)
+	}
+	// field-chain fast path over a cached DOM
+	if d.dom != nil {
 		if node, found, ok := pathengine.EvalFieldChain[jsondom.Value](pathengine.Dom, d.dom, c); ok {
 			if !found || !node.Kind().IsScalar() {
 				return jsondom.Null{}, nil
@@ -277,15 +256,7 @@ func (d *Document) Query(c *pathengine.Compiled) (jsondom.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch len(vals) {
-	case 0:
-		return jsondom.Null{}, nil
-	case 1:
-		return jsondom.String(jsontext.SerializeString(vals[0])), nil
-	default:
-		arr := jsondom.NewArray(vals...)
-		return jsondom.String(jsontext.SerializeString(arr)), nil
-	}
+	return queryResult(vals), nil
 }
 
 // Tokenize splits a string into lower-cased alphanumeric keywords, the
@@ -320,13 +291,18 @@ func (d *Document) TextContains(c *pathengine.Compiled, keyword string) (bool, e
 	if err != nil {
 		return false, err
 	}
+	return anyContains(vals, keyword), nil
+}
+
+// anyContains reports whether any value holds the keyword.
+func anyContains(vals []jsondom.Value, keyword string) bool {
 	kw := strings.ToLower(keyword)
 	for _, v := range vals {
 		if containsKeyword(v, kw) {
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 func containsKeyword(v jsondom.Value, kw string) bool {
