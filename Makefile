@@ -17,11 +17,12 @@ all: build
 build:
 	$(GO) build ./...
 
-# The second step reruns sqlengine at three core counts: the planner's
-# parallel-scan degree follows GOMAXPROCS, so plans (and every test
-# that asserts on EXPLAIN text) differ between a 1-core and an N-core
-# machine; imc and core ride along for the store's maintenance under
-# DML, whose tests read EXPLAIN too.
+# The second step reruns sqlengine at three core counts: the planner
+# fans a scan of one in-memory chunk or more out over GOMAXPROCS
+# workers, so plans (and every test that asserts on EXPLAIN text)
+# differ between a 1-core and an N-core machine; imc and core ride
+# along for the store's maintenance under DML, whose tests read
+# EXPLAIN too.
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/sqlengine ./internal/imc ./internal/core
@@ -36,9 +37,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The nine project-specific invariant checkers (cancelcheck,
-# immutcheck, metriccheck, lockcheck, errwrapcheck, poolcheck,
-# leakcheck, escapecheck, blockcheck) over every module package. See
+# The eight project-specific invariant checkers (cancelcheck,
+# immutcheck, metriccheck, lockcheck, errwrapcheck, leakcheck,
+# escapecheck, blockcheck) over every module package. See
 # docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/fsdmvet
@@ -99,7 +100,10 @@ bench-module:
 # One write-subscriber list lowered it again: the search index
 # backfills and subscribes itself (searchindex.Index.Subscribe), and
 # restrictIDs gave way to searchindex.Intersect: 10,403 lines.
-LOC_MAX := 10425
+# The scan fan-out without knobs lowered it again: the three parallel
+# options and their defaulting went, the derived one-chunk threshold
+# and the DISTINCT rejections came: 10,420 lines.
+LOC_MAX := 10424
 loc:
 	@n=$$(ls internal/sqlengine/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "sqlengine non-test lines: $$n (ratchet $(LOC_MAX))"; \

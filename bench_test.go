@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -165,11 +166,13 @@ func BenchmarkFig6Vectorized(b *testing.B) {
 // fast path on Fig. 6's Q10 shape: group on the low-cardinality
 // $.thousandth key, aggregate over $.num, hashing float-bits words
 // straight off the number vector. (Last numbers of the retired
-// row-at-a-time arm: EXPERIMENTS.md, "One spine".)
+// row-at-a-time arm: EXPERIMENTS.md, "One spine".) It plans at
+// GOMAXPROCS 1: a scan fleet under the aggregation takes the row path.
 func BenchmarkFig6GroupedAgg(b *testing.B) {
 	const nDocs = 16384
 	const query = `select jdoc$thousandth, count(*), sum(jdoc$num), min(jdoc$num), max(jdoc$num) from nobench group by jdoc$thousandth`
 	b.Run("batch", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		env, err := bench.SetupNoBench(nDocs)
 		if err != nil {
 			b.Fatal(err)
@@ -184,7 +187,6 @@ func BenchmarkFig6GroupedAgg(b *testing.B) {
 			`alter table nobench add virtual column jdoc$thousandth as json_value(jdoc, '$.thousandth' returning number)`); err != nil {
 			b.Fatal(err)
 		}
-		env.Eng.Planner.DisableParallelScan = true
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := env.Eng.Exec(query); err != nil {

@@ -1,8 +1,8 @@
 // Command fsdmvet is the repository's invariant checker: a
-// multichecker in the shape of go vet that runs the nine
+// multichecker in the shape of go vet that runs the eight
 // project-specific analyzers from internal/fsdmvet (cancelcheck,
-// immutcheck, metriccheck, lockcheck, errwrapcheck, poolcheck, and
-// the flow-sensitive leakcheck, escapecheck, blockcheck) over every
+// immutcheck, metriccheck, lockcheck, errwrapcheck, and the
+// flow-sensitive leakcheck, escapecheck, blockcheck) over every
 // package of the module. It exits 1 when any invariant is violated
 // and 2 when the tree fails to load, so `make lint` (wired into
 // `make check`) gates commits on the engine's concurrency,

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/jsondom"
 	"repro/internal/jsontext"
-	"repro/internal/sqlengine"
 )
 
 const maintDocs = 2048
@@ -82,17 +82,19 @@ func planOf(t testing.TB, db *DB, sql string) string {
 // self-join the code-space probe answers, with rows pending and after
 // the fold that enough of them force.
 func TestSelectSeesRowsWrittenAfterPopulation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, mode := range []struct {
 		label string
-		set   func(*sqlengine.PlannerOptions)
+		procs int
 	}{
-		{"serial", func(p *sqlengine.PlannerOptions) { p.DisableParallelScan = true }},
-		{"parallel", func(p *sqlengine.PlannerOptions) { p.ParallelMinRows = 1; p.ParallelDegree = 3 }},
+		{"serial", 1},
+		// maintDocs is above the planner's fan-out threshold, so every
+		// scan of docs runs as one fleet over one bound image
+		{"fan-out", 3},
 	} {
+		runtime.GOMAXPROCS(mode.procs)
 		db, col := newMaintDB(t, true)
 		plainDB, plainCol := newMaintDB(t, false)
-		mode.set(&db.SQL().Planner)
-		mode.set(&plainDB.SQL().Planner)
 
 		count := func(d *DB, str1 string) string {
 			res, err := d.Query(maintCountSQL + "'" + str1 + "'")
@@ -106,6 +108,9 @@ func TestSelectSeesRowsWrittenAfterPopulation(t *testing.T) {
 			plan := planOf(t, db, `explain `+maintCountSQL+`'s00005'`)
 			if !strings.Contains(plan, "vec-filters=1") || strings.Contains(plan, "no-imc") {
 				t.Fatalf("%s %s: the point read is not planned onto the vectors:\n%s", mode.label, when, plan)
+			}
+			if fleet := strings.Contains(plan, "ParallelScan(docs degree=3"); fleet != (mode.procs > 1) {
+				t.Fatalf("%s %s: the point read fans out: %v\n%s", mode.label, when, fleet, plan)
 			}
 			return strings.Contains(plan, "imc: delta=")
 		}

@@ -1,15 +1,28 @@
-// escapecheck: flow-sensitive lifetimes for pooled scratch values.
-// poolcheck enforces the release discipline statement-by-statement
-// inside one block; escapecheck upgrades it to whole-function paths on
-// the CFG. A value checked out of a scratch pool — sqljson's
-// AcquireState, sqlengine's getBatch, or any sync.Pool Get — must not
-// be reached again once some path has released it: not read, not
-// stored into a struct field, not sent on a channel, and not captured
-// by a closure that can run after the release. The may-alias lattice
-// (analysis.CellFlow) makes the check robust where poolcheck is blind:
-// aliases (`b := kept`), releases inside one arm of an if, and loops
-// that re-acquire from the same site (a back edge revives the cell, so
+// escapecheck: lifetimes of pooled scratch values. A value checked out
+// of a scratch pool — sqljson's AcquireState, sqlengine's getBatch, a
+// node slice from pathengine's EvalState.Eval, or any sync.Pool Get —
+// must not be reached again once some path has released it: not read,
+// not stored into a struct field, not sent on a channel, and not
+// captured by a closure that can run after the release. A value used
+// after its release may already be serving another checkout, which
+// corrupts silently (the freelist hands the same backing array to two
+// owners). The may-alias lattice (analysis.CellFlow) follows aliases
+// (`b := kept`), releases inside one arm of an if, and loops that
+// re-acquire from the same site (a back edge revives the cell, so
 // per-iteration acquire/release stays clean).
+//
+// Two statement-order rules cover what the lattice cannot see, values
+// that were not acquired in the function at hand (struct fields,
+// parameters):
+//
+//  1. use-after-release: within a statement block, once a value is
+//     passed to a release call (ReleaseState, PutNodes, putBatch), no
+//     later statement in that block may mention it — until a statement
+//     reassigns it, which re-establishes ownership of a fresh value.
+//  2. release-then-clear: when the released value lives in a struct
+//     field (x.f), the statement immediately following the release
+//     must overwrite that field (typically `x.f = nil`), so a stale
+//     handle can never outlive the release site.
 //
 // Deliberately NOT flagged: field stores and channel sends of a value
 // that is still live. Those are ownership transfers — detachBatch
@@ -28,26 +41,55 @@ import (
 )
 
 // poolAcquirers names the checkout entry points whose results
-// escapecheck tracks; poolReleasers (poolcheck.go) spends them.
+// escapecheck tracks; poolReleasers spends them.
 var poolAcquirers = map[string]bool{
 	"AcquireState": true, // sqljson.TableDef pool
 	"getBatch":     true, // sqlengine batch header pool
 }
 
+// poolReleasers names the release entry points of the scratch pools;
+// argument 0 is the value whose ownership the call consumes.
+var poolReleasers = map[string]bool{
+	"ReleaseState": true, // sqljson.TableDef pool
+	"PutNodes":     true, // pathengine.EvalState arena
+	"putBatch":     true, // sqlengine batch header pool
+}
+
 // EscapeCheck flags pooled values reached after a release on some
-// path: reads, field stores, channel sends, and closure captures.
+// path — reads, field stores, channel sends, and closure captures —
+// and released struct fields left pointing at the returned value.
 var EscapeCheck = &analysis.Analyzer{
 	Name: "escapecheck",
-	Doc:  "a pooled value (AcquireState/getBatch/sync.Pool Get) must not be read, stored, sent, or captured after any path has released it",
+	Doc:  "a pooled value (AcquireState/getBatch/EvalState.Eval/sync.Pool Get) must not be read, stored, sent, or captured after any path has released it, and a released field must be cleared",
 	Run:  runEscapeCheck,
 }
 
 func runEscapeCheck(pass *analysis.Pass) error {
+	// one finding per position: the flow walk and the block rules can
+	// reach the same stale read, and the flow's wording is the sharper
+	reported := map[token.Pos]bool{}
+	report := func(pos token.Pos, format string, args ...any) {
+		if !reported[pos] {
+			reported[pos] = true
+			pass.Reportf(pos, format, args...)
+		}
+	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n.(type) {
 			case *ast.FuncDecl, *ast.FuncLit:
-				checkFuncEscapes(pass, n)
+				checkFuncEscapes(pass, n, report)
+			}
+			return true
+		})
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch t := n.(type) {
+			case *ast.BlockStmt:
+				checkReleaseOrder(t.List, report)
+			case *ast.CaseClause:
+				checkReleaseOrder(t.Body, report)
+			case *ast.CommClause:
+				checkReleaseOrder(t.Body, report)
 			}
 			return true
 		})
@@ -55,9 +97,12 @@ func runEscapeCheck(pass *analysis.Pass) error {
 	return nil
 }
 
+// reportFunc reports a finding once per position.
+type reportFunc func(pos token.Pos, format string, args ...any)
+
 // checkFuncEscapes runs the cell lattice over one function and reports
 // every reach of a spent value.
-func checkFuncEscapes(pass *analysis.Pass, fn ast.Node) {
+func checkFuncEscapes(pass *analysis.Pass, fn ast.Node, report reportFunc) {
 	cfg := analysis.CFGOf(pass, fn)
 	if cfg == nil {
 		return
@@ -68,13 +113,6 @@ func checkFuncEscapes(pass *analysis.Pass, fn ast.Node) {
 	)
 	if !flow.Tracked() {
 		return
-	}
-	reported := map[token.Pos]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		if !reported[pos] {
-			reported[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
 	}
 	flow.Walk(func(n ast.Node, st analysis.CellState) {
 		// overwriting a spent variable re-establishes ownership; its
@@ -122,8 +160,131 @@ func checkFuncEscapes(pass *analysis.Pass, fn ast.Node) {
 	})
 }
 
-// isPoolAcquire matches the pool checkout calls: the named acquirers
-// and any type-resolved (*sync.Pool).Get.
+// checkReleaseOrder applies the two statement-order rules to one
+// statement sequence.
+func checkReleaseOrder(stmts []ast.Stmt, report reportFunc) {
+	for i, s := range stmts {
+		call := releaseCallIn(s)
+		if call == nil || len(call.Args) == 0 {
+			continue
+		}
+		released := refString(call.Args[0])
+		if released == "" || released == "nil" {
+			continue
+		}
+		// rule 2: a released field must be cleared by the very next
+		// statement (before any early return can leak the stale handle)
+		if _, isField := unparen(call.Args[0]).(*ast.SelectorExpr); isField {
+			if i+1 >= len(stmts) || !assignsTo(stmts[i+1], released) {
+				report(call.Pos(), "pooled value %s is not cleared after release: the next statement must reassign it (e.g. %s = nil)", released, released)
+			}
+		}
+		// rule 1: no later statement in this block may use the value
+		for _, later := range stmts[i+1:] {
+			if assignsTo(later, released) {
+				break // fresh value, ownership re-established
+			}
+			if use := firstUse(later, released); use != nil {
+				report(use.Pos(), "pooled value %s used after release: the pool may already have handed it to another owner", released)
+				break
+			}
+		}
+	}
+}
+
+// releaseCallIn returns the release call when s is a bare call to a
+// pool releaser, else nil. A deferred release runs at function exit,
+// after every use in the body, so statement order does not apply.
+func releaseCallIn(s ast.Stmt) *ast.CallExpr {
+	es, ok := s.(*ast.ExprStmt)
+	if !ok {
+		return nil
+	}
+	call, _ := unparen(es.X).(*ast.CallExpr)
+	if call == nil {
+		return nil
+	}
+	switch fn := unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		if poolReleasers[fn.Sel.Name] {
+			return call
+		}
+	case *ast.Ident:
+		if poolReleasers[fn.Name] {
+			return call
+		}
+	}
+	return nil
+}
+
+// assignsTo reports whether s assigns directly to the named reference
+// (plain `=` or short `:=`, any position on the left-hand side).
+func assignsTo(s ast.Stmt, ref string) bool {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	for _, lhs := range as.Lhs {
+		if refString(lhs) == ref {
+			return true
+		}
+	}
+	return false
+}
+
+// firstUse returns the first mention of ref inside s, skipping
+// left-hand sides of assignments (an overwrite is not a use) and
+// field names.
+func firstUse(s ast.Stmt, ref string) ast.Expr {
+	var found ast.Expr
+	skip := map[ast.Expr]bool{}
+	ast.Inspect(s, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, lhs := range as.Lhs {
+				if refString(lhs) == ref {
+					skip[lhs] = true
+				}
+			}
+		}
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			skip[sel.Sel] = true // h.b names a field, not the local b
+		}
+		e, ok := n.(ast.Expr)
+		if !ok || skip[e] {
+			return true
+		}
+		if refString(e) == ref {
+			found = e
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// refString renders an identifier or selector chain (j.exp, out) to a
+// comparable key; "" for anything more complex (calls, index exprs),
+// which the statement-order rules conservatively skip.
+func refString(e ast.Expr) string {
+	switch t := unparen(e).(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.SelectorExpr:
+		base := refString(t.X)
+		if base == "" {
+			return ""
+		}
+		return base + "." + t.Sel.Name
+	}
+	return ""
+}
+
+// isPoolAcquire matches the pool checkout calls: the named acquirers,
+// EvalState's Eval (its node slice belongs to the state's arena) and
+// any type-resolved (*sync.Pool).Get.
 func isPoolAcquire(info *types.Info, call *ast.CallExpr) bool {
 	fn, ok := callee(info, call).(*types.Func)
 	if !ok {
@@ -131,6 +292,11 @@ func isPoolAcquire(info *types.Info, call *ast.CallExpr) bool {
 	}
 	if poolAcquirers[fn.Name()] {
 		return true
+	}
+	if sig, isSig := fn.Type().(*types.Signature); isSig && fn.Name() == "Eval" && sig.Recv() != nil {
+		if _, rname, _ := baseTypeName(sig.Recv().Type()); rname == "EvalState" {
+			return true
+		}
 	}
 	return isSyncPoolMethod(info, fn, "Get")
 }

@@ -13,16 +13,14 @@
 //     deferred unlock, or carries an explicit suppression.
 //   - errwrapcheck: error values are wrapped with %w (never flattened
 //     through %v/%s), and sqlengine builds sentinels at package level.
-//   - poolcheck: pooled expansion scratch (ExpandStates, EvalState
-//     node slices, batch headers) is never used after its release
-//     call, and released struct fields are cleared at the release
-//     site.
 //   - leakcheck: every go statement is dominated by a
 //     sync.WaitGroup.Add registration (or waits on a group itself),
 //     and every fleet is joined on all paths out of its owner.
-//   - escapecheck: flow-sensitive poolcheck — a pooled value is never
-//     read, stored to a field, sent on a channel, or captured by a
-//     closure after any path has released it (CFG + may-alias).
+//   - escapecheck: a pooled value (ExpandStates, EvalState node
+//     slices, batch headers) is never read, stored to a field, sent on
+//     a channel, or captured by a closure after any path has released
+//     it (CFG + may-alias), and a released struct field is cleared at
+//     the release site.
 //   - blockcheck: no channel operation, operator NextBatch pull,
 //     store DML, or WaitGroup.Wait while a sync mutex is held.
 //
@@ -48,7 +46,6 @@ var Analyzers = []*analysis.Analyzer{
 	MetricCheck,
 	LockCheck,
 	ErrWrapCheck,
-	PoolCheck,
 	LeakCheck,
 	EscapeCheck,
 	BlockCheck,

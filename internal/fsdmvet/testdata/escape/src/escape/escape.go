@@ -1,6 +1,6 @@
 // Package escape exercises escapecheck: reads, field stores, channel
 // sends, and closure captures of pooled values after a release —
-// including aliases and one-arm releases poolcheck cannot see — while
+// including aliases and one-arm releases no statement-order rule can see — while
 // live ownership transfers stay silent.
 package escape
 

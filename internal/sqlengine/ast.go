@@ -256,10 +256,9 @@ type BetweenExpr struct {
 // FuncCall is a scalar or aggregate function call. Star marks
 // COUNT(*).
 type FuncCall struct {
-	Name     string
-	Args     []Expr
-	Star     bool
-	Distinct bool
+	Name string
+	Args []Expr
+	Star bool
 }
 
 // WindowFunc is an analytic function with an OVER clause; only

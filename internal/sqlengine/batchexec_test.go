@@ -97,7 +97,7 @@ func clip(s string) string {
 // engaged and report their EXPLAIN ANALYZE stat lines.
 func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	e := newBatchEngine(t)
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 
 	plan := explainPlan(t, e, `explain analyze select vs, count(*), sum(vn) from t group by vs`)
 	if !strings.Contains(plan, "agg-fast: key=dict-codes") {
@@ -109,7 +109,7 @@ func TestBatchExplainAnalyzeFastPaths(t *testing.T) {
 	}
 
 	je := newJoinEngine(t)
-	je.Planner.DisableParallelScan = true
+	je.Planner.fanout = 1
 	plan = explainPlan(t, je, `explain analyze select c.cid, o.oid from custs c join orders o on c.vid = o.vk`)
 	if !strings.Contains(plan, "dictprobe: key=float-bits") {
 		t.Errorf("hash join did not take the code-space probe path:\n%s", plan)
@@ -135,7 +135,7 @@ func explainPlan(t *testing.T, e *Engine, sql string, params ...jsondom.Value) s
 // the spine runs.
 func TestBatchExecMetrics(t *testing.T) {
 	e := newBatchEngine(t)
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	before := mustExec(t, e, `show metrics`)
 	batches0, _ := metricValue(t, before, "sql.batch.batches")
 	agg0, _ := metricValue(t, before, "sql.batch.agg_rows")
@@ -160,7 +160,7 @@ func TestBatchExecMetrics(t *testing.T) {
 	}
 
 	je := newJoinEngine(t)
-	je.Planner.DisableParallelScan = true
+	je.Planner.fanout = 1
 	jb := mustExec(t, je, `show metrics`)
 	builds0, _ := metricValue(t, jb, "imc.dictprobe.builds")
 	probe0, _ := metricValue(t, jb, "imc.dictprobe.rows")
@@ -181,7 +181,7 @@ func TestBatchExecMetrics(t *testing.T) {
 // instantiated from the cache still take the fast path.
 func TestBatchExecPrepared(t *testing.T) {
 	e := newBatchEngine(t)
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	ps, err := e.Prepare(`select vs, count(*) from t where vn between ? and ? group by vs order by vs`)
 	if err != nil {
 		t.Fatal(err)

@@ -258,8 +258,8 @@ type plannerMode struct {
 // planner can still choose between.
 func corpusConfigs() []plannerMode {
 	return []plannerMode{
-		{"serial", func(p *PlannerOptions) { p.DisableParallelScan = true }},
-		{"parallel", func(p *PlannerOptions) { p.ParallelMinRows = 1; p.ParallelDegree = 3 }},
+		{"serial", func(p *PlannerOptions) { p.fanout = 1 }},
+		{"fan-out", func(p *PlannerOptions) { p.fanout = 3 }},
 	}
 }
 
@@ -267,7 +267,7 @@ func corpusConfigs() []plannerMode {
 // storage and these options no IMC store, vector kernel, code-space
 // path or scan fleet takes part in the answer.
 func corpusReferenceOptions() PlannerOptions {
-	return PlannerOptions{DisableVectorFilter: true, DisableVCRewrite: true, DisableParallelScan: true}
+	return PlannerOptions{DisableVectorFilter: true, DisableVCRewrite: true, fanout: 1}
 }
 
 // TestQueryCorpus runs the whole corpus through the reference engine

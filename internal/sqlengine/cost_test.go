@@ -167,7 +167,7 @@ func TestExplainEstRowsAccuracy(t *testing.T) {
 	// the scan, and no parallel scan absorbing the filter on a
 	// multi-core machine
 	e.Planner.DisableVectorFilter = true
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	r := mustExec(t, e, `explain select did from d where vs = 's07' and vn >= 0`)
 	var scanEst, filterEst int64
 	for _, row := range r.Rows {

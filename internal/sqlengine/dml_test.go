@@ -300,7 +300,7 @@ func TestSearchIndexFollowsUpdates(t *testing.T) {
 // and all, and write exactly the rows the predicate names.
 func TestDMLOverMaintainedStore(t *testing.T) {
 	e, model := newDMLModelEngine(t)
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	attachIMC(t, e, "m", "vk")
 	mustExec(t, e, `insert into m values (9001, '{"k":3,"tag":"new"}', 1)`)
 	model[9001] = &modelRow{k: 3, n: 99}

@@ -68,19 +68,15 @@ type PlannerOptions struct {
 	// in-memory vectors (§5.2.1): no chunk kernels, selection bitmaps or
 	// zone-map pruning, every conjunct a row-level filter.
 	DisableVectorFilter bool
-	// DisableParallelScan turns off parallel partitioned scans (serial
-	// tableScan + filter instead of parallelScanOp).
-	DisableParallelScan bool
-	// ParallelDegree is the worker count for parallel scans; <= 0 means
-	// runtime.GOMAXPROCS(0).
-	ParallelDegree int
-	// ParallelMinRows is the minimum table size for a parallel scan;
-	// <= 0 means the built-in default (defaultParallelMinRows).
-	ParallelMinRows int
 	// MemoryBudget caps the bytes pipeline-breaking operators (sort,
 	// hash-join build, group-by, window, cross-join) may buffer per
 	// query; <= 0 disables the accountant.
 	MemoryBudget int64
+
+	// fanout overrides the scan fan-out for tests: 0 lets the planner
+	// decide (parallelizeScan), 1 keeps every scan serial, and n >= 2
+	// forces n workers at any table size.
+	fanout int
 }
 
 type viewDef struct {

@@ -106,15 +106,13 @@ func TestDMLContextCancel(t *testing.T) {
 
 func TestParallelScanEquivalence(t *testing.T) {
 	e := newNumEngine(t, 5000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
 	q := `select n, n * 2 from nums where n > 100 and n < 4900 order by n desc limit 1000`
 	qs := []string{q, `select count(*), sum(n) from nums where n >= 2500`,
 		`select n from nums where n < 64`}
 	for _, sql := range qs {
-		e.Planner.DisableParallelScan = true
+		e.Planner.fanout = 1
 		serial := mustExec(t, e, sql)
-		e.Planner.DisableParallelScan = false
+		e.Planner.fanout = 4
 		par := mustExec(t, e, sql)
 		if len(par.Rows) != len(serial.Rows) {
 			t.Fatalf("%s: %d parallel rows vs %d serial", sql, len(par.Rows), len(serial.Rows))
@@ -131,8 +129,7 @@ func TestParallelScanEquivalence(t *testing.T) {
 
 func TestParallelScanNoGoroutineLeak(t *testing.T) {
 	e := newNumEngine(t, 5000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	baseline := runtime.NumGoroutine()
 	// full drain, early termination via LIMIT, and cancellation: all
 	// three paths must stop every worker
@@ -174,8 +171,7 @@ func (c *cancelAtPoll) Err() error {
 // the cancellation has to travel through their NextBatch loops too.
 func TestBreakersOverParallelScanFaults(t *testing.T) {
 	e := newNumEngine(t, 5000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	queries := []struct {
 		op, sql string
 		rows    int
@@ -297,8 +293,7 @@ func TestExplainAnalyze(t *testing.T) {
 
 func TestExplainAnalyzeParallel(t *testing.T) {
 	e := newNumEngine(t, 4000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	r := mustExec(t, e, `explain analyze select count(*) from nums where n >= 2000`)
 	plan := ""
 	for _, row := range r.Rows {
@@ -341,10 +336,30 @@ func TestTickErrInterval(t *testing.T) {
 	}
 }
 
-func TestParallelDegreeRespectsPartitionCount(t *testing.T) {
+// TestParallelScanDerivedThreshold pins the planner's own choice: at
+// GOMAXPROCS >= 2 a table of fanoutMinRows rows fans out over
+// GOMAXPROCS workers and one row fewer stays serial; at GOMAXPROCS 1
+// nothing fans out. Each case plans on a fresh engine, because a cached
+// plan keeps the degree it was planned with.
+func TestParallelScanDerivedThreshold(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		for _, rows := range []int{fanoutMinRows - 1, fanoutMinRows} {
+			e := newNumEngine(t, rows)
+			prev := runtime.GOMAXPROCS(procs)
+			plan := explainPlan(t, e, `explain select count(*) from nums where n >= 0`)
+			runtime.GOMAXPROCS(prev)
+			want := procs >= 2 && rows >= fanoutMinRows
+			fleet := strings.Contains(plan, fmt.Sprintf("ParallelScan(nums degree=%d ordered filtered)", procs))
+			if fleet != want || strings.Contains(plan, "TableScan(nums)") == want {
+				t.Errorf("GOMAXPROCS %d, %d rows: want fan-out %v:\n%s", procs, rows, want, plan)
+			}
+		}
+	}
+}
+
+func TestParallelScanDegreeRespectsPartitionCount(t *testing.T) {
 	e := newNumEngine(t, 10)
-	e.Planner.ParallelDegree = 64
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 64
 	// 64-way split of 10 rows yields 10 single-row partitions; results
 	// must still be exact and ordered
 	r := mustExec(t, e, `select n from nums where n != 5`)
@@ -361,8 +376,7 @@ func TestParallelDegreeRespectsPartitionCount(t *testing.T) {
 func TestParallelScanSkipsDeletedRows(t *testing.T) {
 	e := newNumEngine(t, 2000)
 	mustExec(t, e, `delete from nums where n >= 500 and n < 1500`)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	r := mustExec(t, e, `select count(*) from nums where n >= 0`)
 	if got := r.Rows[0][0].(jsondom.Number); got != "1000" {
 		t.Fatalf("count after delete = %s", got)
@@ -371,8 +385,7 @@ func TestParallelScanSkipsDeletedRows(t *testing.T) {
 
 func TestParallelScanConcurrentQueries(t *testing.T) {
 	e := newNumEngine(t, 5000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	errc := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func(k int) {

@@ -74,7 +74,7 @@ func TestJSONOperatorAllocsFlatInRows(t *testing.T) {
 			e := newReaderEngine(t, n, true)
 			// a scan fleet costs per worker, and the worker count
 			// follows the machine; this test is about rows
-			e.Planner.DisableParallelScan = true
+			e.Planner.fanout = 1
 			mustExec(t, e, q) // warm the plan cache and the pools
 			per[n] = testing.AllocsPerRun(5, func() {
 				if _, err := e.Exec(q); err != nil {
@@ -171,7 +171,7 @@ func TestJSONReaderJoinResidual(t *testing.T) {
 		and json_value(a.jdoc, '$.k' returning number) <> json_value(b.jdoc, '$.nested.v' returning number)
 		order by a.id`
 	e := newReaderEngine(t, 300, true)
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	got := fmt.Sprint(mustExec(t, e, q).Rows)
 	e.DetachIMC("r")
 	want := fmt.Sprint(mustExec(t, e, q).Rows)
@@ -192,8 +192,7 @@ func TestParallelScanJSONReader(t *testing.T) {
 		`select id, json_value(jdoc, '$.tag'), json_query(jdoc, '$.arr') from r where json_textcontains(jdoc, '$.tag', 't07') order by id`,
 	}
 	e := newReaderEngine(t, 2048, true)
-	e.Planner.ParallelMinRows = 1
-	e.Planner.ParallelDegree = 4
+	e.Planner.fanout = 4
 	run := func() []string {
 		var out []string
 		for _, q := range qs {
@@ -207,7 +206,7 @@ func TestParallelScanJSONReader(t *testing.T) {
 		}
 	}
 	parallel := run()
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	serial := run()
 	e.DetachIMC("r")
 	text := run()

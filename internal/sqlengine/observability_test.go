@@ -74,8 +74,7 @@ func TestShowMetricsReflectsWorkload(t *testing.T) {
 
 func TestShowMetricsParallelScanCounters(t *testing.T) {
 	e := newNumEngine(t, 4000)
-	e.Planner.ParallelDegree = 4
-	e.Planner.ParallelMinRows = 1
+	e.Planner.fanout = 4
 	before := mustExec(t, e, `show metrics`)
 	fan0, _ := metricValue(t, before, "sql.scan.parallel.fanout")
 	rows0, _ := metricValue(t, before, "sql.scan.parallel.rows")

@@ -24,9 +24,13 @@ import (
 	"repro/internal/imc"
 )
 
-// defaultParallelMinRows is the table size below which a parallel scan
-// is not worth the goroutine and channel overhead.
-const defaultParallelMinRows = 512
+// fanoutMinRows is the table size from which a scan fans out: one
+// in-memory chunk. Below it the goroutines and channels cost more than
+// a second core wins back, in every storage mode; from it up, text
+// scans win at two cores and the in-memory modes break even. The
+// figure comes from the scaling curve in EXPERIMENTS.md ("Scan fan-out
+// without knobs").
+const fanoutMinRows = 1 * imc.ChunkSize
 
 // parBatchChanCap bounds each worker's output channel, limiting the
 // batches (of up to batchSize rows each) buffered ahead of the
@@ -67,11 +71,10 @@ type parallelScanOp struct {
 
 // parallelizeScan decides whether the FROM source plus residual WHERE
 // can run as a parallel partitioned scan; it returns nil when the
-// serial plan should be kept.
+// serial plan should be kept. The degree is GOMAXPROCS, capped later by
+// the partition count (scanPartitions), and tables under fanoutMinRows
+// stay serial; PlannerOptions.fanout overrides both for tests.
 func (e *Engine) parallelizeScan(src rowSource, where Expr, env *planEnv) rowSource {
-	if e.Planner.DisableParallelScan {
-		return nil
-	}
 	scan, ok := src.(*tableScan)
 	if !ok {
 		return nil
@@ -81,18 +84,14 @@ func (e *Engine) parallelizeScan(src rowSource, where Expr, env *planEnv) rowSou
 	if scan.rowIDsFn != nil || scan.samplePct > 0 {
 		return nil
 	}
-	degree := e.Planner.ParallelDegree
-	if degree <= 0 {
+	degree := e.Planner.fanout
+	if degree == 0 {
+		if scan.tab.MaxRowID() < fanoutMinRows {
+			return nil
+		}
 		degree = runtime.GOMAXPROCS(0)
 	}
 	if degree < 2 {
-		return nil
-	}
-	minRows := e.Planner.ParallelMinRows
-	if minRows <= 0 {
-		minRows = defaultParallelMinRows
-	}
-	if scan.tab.MaxRowID() < minRows {
 		return nil
 	}
 	return &parallelScanOp{template: scan, filter: where, env: env, degree: degree}

@@ -137,6 +137,9 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
+	if p.atKw("distinct") {
+		return nil, p.errf("SELECT DISTINCT is not supported")
+	}
 	stmt := &SelectStmt{Limit: -1}
 	for {
 		item, err := p.parseSelectItem()
@@ -1186,8 +1189,8 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 		if p.accept(tkOp, "*") {
 			fc.Star = true
 		} else if !p.at(tkOp, ")") {
-			if p.acceptKw("distinct") {
-				fc.Distinct = true
+			if p.atKw("distinct") {
+				return nil, p.errf("%s(DISTINCT ...) is not supported", strings.ToUpper(name))
 			}
 			for {
 				a, err := p.parseExpr()

@@ -20,7 +20,7 @@ import (
 // under 8 KB per execution, and the keyed one examines exactly its row.
 func TestPointQueryCostsOneRow(t *testing.T) {
 	e := newCorpusEngine(t, "oson-imc")
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	for _, q := range []struct {
 		sql, want, scan string
 		param           jsondom.Value

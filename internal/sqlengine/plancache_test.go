@@ -436,7 +436,7 @@ func hardParsesOf(fn func()) int64 {
 // EXPLAIN's cache-status probe must predict what Query then does.
 func TestPlanCacheKeyKeepsStructure(t *testing.T) {
 	e := newCorpusEngine(t, "text")
-	e.Planner.DisableParallelScan = true
+	e.Planner.fanout = 1
 	run := func(q string) int64 {
 		t.Helper()
 		plan := explainPlan(t, e, "explain "+q)

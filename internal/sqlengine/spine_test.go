@@ -19,8 +19,14 @@ import (
 // TestSpineSurfaceIsPinned makes the next planner knob or corpus config
 // a deliberate edit: each one multiplies what the corpus has to cover.
 func TestSpineSurfaceIsPinned(t *testing.T) {
-	if n := reflect.TypeOf(PlannerOptions{}).NumField(); n != 8 {
-		t.Errorf("PlannerOptions has %d fields, want 8", n)
+	exported := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(PlannerOptions{})) {
+		if f.IsExported() {
+			exported++
+		}
+	}
+	if exported != 5 {
+		t.Errorf("PlannerOptions has %d exported fields, want 5", exported)
 	}
 	if n := len(corpusConfigs()); n != 2 {
 		t.Errorf("corpus matrix has %d planner configs, want 2", n)
@@ -131,7 +137,7 @@ func TestExplainAnalyzeMatchesQueryPath(t *testing.T) {
 		}
 	}
 
-	e.Planner = PlannerOptions{DisableParallelScan: true}
+	e.Planner = PlannerOptions{fanout: 1}
 	plan := explainPlan(t, e, `explain analyze select vs, count(*), sum(vn) from t group by vs`)
 	if !strings.Contains(plan, "agg-fast:") || !strings.Contains(plan, fmt.Sprintf("TableScan(t)  (est-rows=%d)  (rows=%d batches=0", batchDocs, batchDocs)) {
 		t.Errorf("scan under agg-fast must report the %d rows it selected (in no batches):\n%s", batchDocs, plan)

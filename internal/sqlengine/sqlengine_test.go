@@ -1,6 +1,8 @@
 package sqlengine
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -171,6 +173,34 @@ func TestGroupByAggregates(t *testing.T) {
 	r = mustExec(t, e, `select count(v), count(*) from nt`)
 	if r.Rows[0][0].(jsondom.Number) != "2" || r.Rows[0][1].(jsondom.Number) != "3" {
 		t.Fatalf("count null handling = %v", r.Rows)
+	}
+}
+
+// TestDistinctIsRejected: neither DISTINCT form is implemented, so both
+// are refused at parse time with an error naming the feature, instead
+// of a quantifier silently dropped (count(distinct n) answering 6 over
+// {1,1,1,2,2,2}) or a bogus "unknown column distinct".
+func TestDistinctIsRejected(t *testing.T) {
+	e := New()
+	mustExec(t, e, `create table d (n number)`)
+	mustExec(t, e, `insert into d values (1), (1), (1), (2), (2), (2)`)
+	for sql, want := range map[string]string{
+		`select count(distinct n) from d`:                     "COUNT(DISTINCT ...) is not supported",
+		`select sum(DISTINCT n) from d`:                       "SUM(DISTINCT ...) is not supported",
+		`select distinct n from d`:                            "SELECT DISTINCT is not supported",
+		`select DISTINCT n, n + 1 from d`:                     "SELECT DISTINCT is not supported",
+		`explain select distinct n from d`:                    "SELECT DISTINCT is not supported",
+		`select c from (select count(distinct n) c from d) s`: "COUNT(DISTINCT ...) is not supported",
+	} {
+		_, err := e.Exec(sql)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a syntax error containing %q", sql, err, want)
+		}
+	}
+	// the plain forms still answer
+	if got := fmt.Sprint(mustExec(t, e, `select count(n), sum(n) from d`).Rows); got != "[[6 9]]" {
+		t.Fatalf("count/sum = %s", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 // allocates only what the caller retains (boxed scalars that aren't
 // interned).
 //
-// Ownership rules (enforced by the fsdmvet poolcheck analyzer):
+// Ownership rules (enforced by the fsdmvet escapecheck analyzer):
 //
 //   - The row slice passed to emit is state-owned scratch, overwritten
 //     by the next row; consumers must copy what they keep (the

@@ -74,7 +74,7 @@ func (d *TableDef) AcquireState() *ExpandState {
 
 // ReleaseState returns a state obtained from AcquireState to the pool.
 // The caller must not touch the state afterwards (clear the reference;
-// the poolcheck analyzer enforces release-then-nil at call sites).
+// the escapecheck analyzer enforces release-then-nil at call sites).
 func (d *TableDef) ReleaseState(es *ExpandState) {
 	if es != nil {
 		d.pool.Put(es)
